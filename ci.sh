@@ -102,6 +102,18 @@ assert d['forest']['link_coverage'] == 1.0, 'fan-out link coverage below 100%'
 assert d['forensics']['bundle_bytes'] > 0 and d['forensics']['timeline_events'] > 0
 " || { echo "BENCH_blackbox.json failed validation"; exit 1; }
 
+echo "==> perfbench smoke (one quick round set per BENCHMARK.json workload)"
+# Runs every declared workload with --seconds 0 (its minimum number of
+# rounds) and requires exit 0 and "correct": true on the result line. No
+# metric is bounded here; BENCHMARK.json comparisons are made elsewhere.
+for w in $(python3 -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))"); do
+  echo "    $w"
+  result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 0 --trace 0 | tail -n 1)
+  python3 -c "import json, sys; assert json.loads(sys.argv[1])['correct'] is True" "$result" \
+    || { echo "perfbench $w did not report correct: $result"; exit 1; }
+done
+
 echo "==> perf-regression gate (headline metrics vs committed baselines)"
 # Direction-aware: each headline metric may only move the wrong way by
 # its tolerance (15% for deterministic virtual-time metrics, wider for

@@ -204,8 +204,12 @@ impl RouterBuilder {
         self
     }
 
-    /// Verdict-memo slots for every bound vbpf classifier (0 disables
-    /// memoization engine-wide). Unset, classifiers keep the vbpf default.
+    /// Ceiling on verdict-memo slots for every bound vbpf classifier (0
+    /// disables memoization engine-wide). Unset, classifiers keep the vbpf
+    /// default. Each table is allocated on demand — two slots, doubling
+    /// only when an insert would otherwise evict from a table at least
+    /// half full — so it holds at most four slots per cached entry
+    /// whatever the ceiling.
     /// The cache only engages for programs the verifier proved pure; each
     /// queue group's classifier has its own cache, so shards share nothing.
     pub fn classifier_memo(mut self, capacity: usize) -> Self {

@@ -96,7 +96,11 @@ pub struct VmConfig {
     pub max_insns: u64,
     /// Seed for the `prandom_u32` helper.
     pub prandom_seed: u64,
-    /// Verdict-cache slots for pure programs; 0 disables memoization.
+    /// Ceiling on verdict-cache slots for pure programs (rounded up to a
+    /// power of two); 0 disables memoization. The table is allocated on
+    /// demand: it starts at two slots and doubles only when an insert
+    /// would otherwise evict from a table at least half full, so this
+    /// bounds memory rather than sizing it.
     pub memo_capacity: usize,
 }
 
@@ -160,8 +164,9 @@ impl Vm {
         vm
     }
 
-    /// Resizes (or disables, with 0) the verdict cache. The cache only
-    /// ever engages for programs that are pure, compiled, and whose ctx
+    /// Resets the verdict cache with a new slot ceiling (or disables it,
+    /// with 0); see [`VmConfig::memo_capacity`]. The cache only ever
+    /// engages for programs that are pure, compiled, and whose ctx
     /// read-set fits the key; for others this is a no-op beyond storing
     /// the setting.
     pub fn set_memo_capacity(&mut self, capacity: usize) {
@@ -194,6 +199,13 @@ impl Vm {
     /// the program is ineligible).
     pub fn memo_stats(&self) -> MemoStats {
         self.memo.as_ref().map(|m| m.stats).unwrap_or_default()
+    }
+
+    /// Current verdict-cache table size in slots (0 when memoization is
+    /// off).
+    #[cfg(test)]
+    pub(crate) fn memo_slots(&self) -> usize {
+        self.memo.as_ref().map_or(0, VerdictCache::slots)
     }
 
     /// Sets the virtual time returned by the `ktime_ns` helper.
@@ -1136,6 +1148,10 @@ mod tests {
 
     /// ctx[0..8] += map[0]; return 0x11 — pure, compiled, memoizable.
     fn offset_vm() -> Vm {
+        compile(offset_program(), 16, 0..16)
+    }
+
+    fn offset_program() -> ProgramBuilder {
         let mut b = ProgramBuilder::new();
         let m = b.declare_map(MapDef {
             value_size: 8,
@@ -1157,7 +1173,76 @@ mod tests {
             .exit();
         b.bind(is_null);
         b.mov64_imm(R0, 0x22).exit();
-        compile(b, 16, 0..16)
+        b
+    }
+
+    fn offset_vm_with(cfg: VmConfig) -> Vm {
+        let (insns, maps) = offset_program().build();
+        let vcfg = VerifierConfig {
+            ctx_size: 16,
+            ctx_writable: 0..16,
+        };
+        Vm::with_config(verify(insns, maps, &vcfg).unwrap(), cfg)
+    }
+
+    fn run_slba(vm: &mut Vm, slba: u64) -> (u64, Tier) {
+        let mut ctx = [0u8; 16];
+        ctx[..8].copy_from_slice(&slba.to_le_bytes());
+        vm.run_with_tier(&mut ctx).unwrap()
+    }
+
+    #[test]
+    fn huge_memo_capacity_is_a_ceiling_not_an_allocation() {
+        for memo_capacity in [usize::MAX, 1 << 40] {
+            let mut vm = offset_vm_with(VmConfig {
+                memo_capacity,
+                ..VmConfig::default()
+            });
+            vm.map_mut(0).set_u64(0, 0x1000).unwrap();
+            assert_eq!(vm.memo_slots(), 2);
+            assert_eq!(run_slba(&mut vm, 0x40), (0x11, Tier::Compiled));
+            assert_eq!(run_slba(&mut vm, 0x40), (0x11, Tier::CacheHit));
+            for slba in 0..100 {
+                run_slba(&mut vm, slba);
+            }
+            // 100 distinct keys grow the table, to at most 4 slots each.
+            assert!(vm.memo_slots() > 2 && vm.memo_slots() <= 400);
+            vm.set_memo_capacity(memo_capacity);
+            assert_eq!(vm.memo_slots(), 2);
+        }
+    }
+
+    #[test]
+    fn memo_footprint_tracks_distinct_keys() {
+        // A passthrough classifier reads no ctx: one key, however often
+        // it runs, so a fleet of them stays at the initial two slots.
+        let passthrough = || {
+            let mut b = ProgramBuilder::new();
+            b.mov64_imm(R0, 1).exit();
+            compile(b, 48, 0..0)
+        };
+        let mut fleet: Vec<Vm> = (0..1024).map(|_| passthrough()).collect();
+        for vm in &mut fleet {
+            for _ in 0..1000 {
+                assert_eq!(vm.run(&mut [0u8; 48]).unwrap(), 1);
+            }
+            assert!(vm.memo_slots() <= 2);
+            assert_eq!(vm.memo_stats().hits, 999);
+        }
+        // A classifier keyed on a random slba fills its ceiling exactly.
+        let mut vm = offset_vm();
+        vm.set_memo_capacity(64);
+        vm.map_mut(0).set_u64(0, 1).unwrap();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..5000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            run_slba(&mut vm, x);
+            assert!(vm.memo_slots() <= 64);
+        }
+        assert_eq!(vm.memo_slots(), 64);
+        assert!(vm.memo_stats().evictions > 0);
     }
 
     #[test]

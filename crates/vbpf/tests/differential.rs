@@ -391,3 +391,47 @@ fn random_programs_agree_on_truncated_ctx() {
     }
     assert!(checked >= 60, "only {checked} truncation cases checked");
 }
+
+#[test]
+fn random_programs_agree_under_memo_growth_and_eviction() {
+    // A ceiling of 4 slots against a pool of 24 contexts: the cache grows
+    // from its initial two slots, then evicts at the ceiling, and a
+    // mid-run map update flushes the grown table. Hits must still replay
+    // exactly what the interpreter computes.
+    let mut rng = Rng::new(0x5EED_0004);
+    let mut grown_and_evicted = 0u32;
+    let mut hit = 0u32;
+    for seed in 0..200 {
+        let (insns, maps) = gen_program(&mut rng);
+        let cfg = VmConfig {
+            memo_capacity: 4,
+            ..VmConfig::default()
+        };
+        let Some(mut a) = build_vm(&insns, &maps, cfg) else {
+            continue;
+        };
+        let mut b = build_vm(&insns, &maps, cfg).expect("verifies twice");
+        a.set_time(42);
+        b.set_time(42);
+        a.map_mut(0).set_u64(1, 0xAA55).unwrap();
+        b.map_mut(0).set_u64(1, 0xAA55).unwrap();
+        let pool: Vec<[u8; CTX_SIZE]> = (0..24).map(|_| random_ctx(&mut rng)).collect();
+        for i in 0..200 {
+            if i == 100 {
+                a.map_mut(0).set_u64(1, 0x1234).unwrap();
+                b.map_mut(0).set_u64(1, 0x1234).unwrap();
+            }
+            let ctx = pool[rng.below(pool.len() as u64) as usize];
+            assert_one_run(&mut a, &mut b, &ctx, &format!("seed {seed} run {i}"));
+        }
+        assert_state(&a, &b, &maps, &format!("seed {seed}"));
+        let stats = a.memo_stats();
+        hit += (stats.hits > 0) as u32;
+        grown_and_evicted += (stats.evictions > 0) as u32;
+    }
+    assert!(hit >= 20, "only {hit} programs hit the memo");
+    assert!(
+        grown_and_evicted >= 10,
+        "only {grown_and_evicted} programs reached the ceiling and evicted"
+    );
+}

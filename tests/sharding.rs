@@ -7,7 +7,7 @@
 
 use nvmetro::core::classify::{verdict_bits, Classifier, NativeClassifier, RequestCtx, Verdict};
 use nvmetro::core::engine::{EngineVm, QueueBinding, RouterBuilder};
-use nvmetro::core::{passthrough_program, Partition, RecoveryConfig};
+use nvmetro::core::{partition_offset_program, passthrough_program, Partition, RecoveryConfig};
 use nvmetro::device::{CompletionMode, SimSsd, SsdConfig};
 use nvmetro::faults::{CmdClass, FaultAction, FaultPlan, FaultRule, FaultSite};
 use nvmetro::mem::GuestMemory;
@@ -211,6 +211,79 @@ fn cq_batches_coalesce_doorbells_under_coarse_polling() {
     // Each flush drains at most `batch` entries, so the batch count is
     // bounded below by completions/batch — and notifies by construction.
     assert!(batches >= N as u64 / batch);
+}
+
+#[test]
+fn classifier_memo_ceiling_may_be_huge() {
+    // The memo capacity is a ceiling, not an allocation: an engine-wide
+    // `classifier_memo(usize::MAX)` (or 2^40) must neither overflow the
+    // power-of-two rounding nor try to allocate the table up front.
+    const N: u16 = 64;
+    for capacity in [usize::MAX, 1 << 40] {
+        let cost = deterministic_cost();
+        let mut ssd = SimSsd::new(
+            "ssd",
+            SsdConfig {
+                capacity_lbas: 1 << 20,
+                cost: cost.clone(),
+                move_data: false,
+                seed: 5,
+                ..Default::default()
+            },
+        );
+        let mem = Arc::new(GuestMemory::new(1 << 20));
+        let (vsq_p, vsq_c) = SqPair::new(256);
+        let (vcq_p, vcq_c) = CqPair::new(256);
+        let (hsq_p, hsq_c) = SqPair::new(256);
+        let (hcq_p, hcq_c) = CqPair::new(256);
+        ssd.add_queue(hsq_c, hcq_p, mem.clone(), CompletionMode::Polled);
+        let engine = RouterBuilder::new("router")
+            .cost(cost)
+            .table_capacity(256)
+            .classifier_memo(capacity)
+            .vm(EngineVm {
+                vm_id: 0,
+                mem,
+                partition: Partition::whole(1 << 20),
+                queues: vec![QueueBinding {
+                    vsqs: vec![vsq_c],
+                    vcqs: vec![vcq_p],
+                    hsq: hsq_p,
+                    hcq: hcq_c,
+                    kernel: None,
+                    notify: None,
+                    classifier: Classifier::Bpf(partition_offset_program(4096, 1 << 16)),
+                }],
+            })
+            .build();
+        let mut router = engine.into_shards().pop().unwrap();
+        // Two passes over the same 32 LBAs: the second pass hits.
+        for i in 0..N {
+            let mut cmd = SubmissionEntry::read(1, (i as u64 % 32) * 8, 8, 0x1000, 0);
+            cmd.cid = i;
+            vsq_p.push(cmd).unwrap();
+        }
+        let mut done = 0u64;
+        let mut now: Ns = 0;
+        while done < N as u64 && now < 100 * MS {
+            router.poll(now);
+            ssd.poll(now);
+            while let Some(cqe) = vcq_c.pop() {
+                assert!(!cqe.status().is_error(), "capacity {capacity}");
+                done += 1;
+            }
+            now += 5 * US;
+        }
+        assert_eq!(done, N as u64, "capacity {capacity}: all reads complete");
+        let stats = router.classifier_mut(0).bpf_vm_mut().unwrap().memo_stats();
+        assert_eq!(stats.hits + stats.misses, N as u64);
+        // Each second-pass miss needs an eviction of its key since the
+        // first pass.
+        assert!(
+            stats.hits > 0 && stats.hits + stats.evictions >= 32,
+            "capacity {capacity}: {stats:?}"
+        );
+    }
 }
 
 /// The fixed seed matrix plus an optional `CHAOS_SEED` from the env.
