@@ -22,6 +22,7 @@ for seed in 1 4242 31337; do
   CHAOS_SEED=$seed cargo test -q --test chaos
   CHAOS_SEED=$seed cargo test -q --test sharding
   CHAOS_SEED=$seed cargo test -q --test servicing
+  CHAOS_SEED=$seed cargo test -q --test router_features
 done
 
 echo "==> stash committed bench baselines for the perf gate"

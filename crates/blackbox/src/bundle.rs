@@ -8,7 +8,9 @@
 //! [`report`](crate::report) reconstructs a human-readable incident
 //! timeline from the bundle alone — no live engine required.
 
+use nvmetro_insight::export::esc;
 use nvmetro_insight::{BreakerGauge, EngineGauges, TenantGauge};
+use nvmetro_telemetry::wire::{self, fnv1a};
 use nvmetro_telemetry::{Metric, Ns, PathKind, Route, Stage, TraceEvent};
 use std::fmt::Write as _;
 
@@ -46,94 +48,16 @@ impl std::fmt::Display for BundleError {
 
 impl std::error::Error for BundleError {}
 
-/// Little-endian wire primitives (in-repo; no external deps).
-mod wire {
-    use super::BundleError;
-
-    pub struct Writer {
-        buf: Vec<u8>,
-    }
-
-    impl Writer {
-        pub fn new() -> Self {
-            Writer { buf: Vec::new() }
-        }
-        pub fn u8(&mut self, v: u8) {
-            self.buf.push(v);
-        }
-        pub fn u16(&mut self, v: u16) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        pub fn u32(&mut self, v: u32) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        pub fn u64(&mut self, v: u64) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        pub fn bytes(&mut self, v: &[u8]) {
-            self.buf.extend_from_slice(v);
-        }
-        pub fn str(&mut self, s: &str) {
-            let b = s.as_bytes();
-            self.u16(b.len().min(u16::MAX as usize) as u16);
-            self.bytes(&b[..b.len().min(u16::MAX as usize)]);
-        }
-        pub fn as_slice(&self) -> &[u8] {
-            &self.buf
-        }
-        pub fn into_bytes(self) -> Vec<u8> {
-            self.buf
-        }
-    }
-
-    pub struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        pub fn new(buf: &'a [u8]) -> Self {
-            Reader { buf, pos: 0 }
-        }
-        fn take(&mut self, n: usize) -> Result<&'a [u8], BundleError> {
-            if self.pos + n > self.buf.len() {
-                return Err(BundleError::Truncated);
-            }
-            let s = &self.buf[self.pos..self.pos + n];
-            self.pos += n;
-            Ok(s)
-        }
-        pub fn u8(&mut self) -> Result<u8, BundleError> {
-            Ok(self.take(1)?[0])
-        }
-        pub fn u16(&mut self) -> Result<u16, BundleError> {
-            Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-        }
-        pub fn u32(&mut self) -> Result<u32, BundleError> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-        }
-        pub fn u64(&mut self) -> Result<u64, BundleError> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-        pub fn str(&mut self) -> Result<String, BundleError> {
-            let len = self.u16()? as usize;
-            let bytes = self.take(len)?;
-            String::from_utf8(bytes.to_vec()).map_err(|_| BundleError::Corrupt("non-utf8 string"))
-        }
-        pub fn remaining(&self) -> usize {
-            self.buf.len() - self.pos
-        }
+impl From<wire::Truncated> for BundleError {
+    fn from(_: wire::Truncated) -> Self {
+        BundleError::Truncated
     }
 }
 
-/// FNV-1a 64 over the payload; the integrity trailer of the byte format.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Reads a string written by [`wire::Writer::str`].
+fn read_str(r: &mut wire::Reader) -> Result<String, BundleError> {
+    let len = r.u16()? as usize;
+    String::from_utf8(r.bytes(len)?.to_vec()).map_err(|_| BundleError::Corrupt("non-utf8 string"))
 }
 
 /// A servicing lifecycle operation, derived from counter deltas.
@@ -703,9 +627,9 @@ impl DumpBundle {
         let policy = match r.u8()? {
             0 => None,
             1 => Some(PolicySummary {
-                poll: r.str()?,
-                batch: r.str()?,
-                placement: r.str()?,
+                poll: read_str(&mut r)?,
+                batch: read_str(&mut r)?,
+                placement: read_str(&mut r)?,
                 workers: r.u32()?,
             }),
             _ => return Err(BundleError::Corrupt("policy presence flag")),
@@ -915,24 +839,6 @@ impl DumpBundle {
         out.push_str("]}");
         out
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn reason_json(out: &mut String, r: &TriggerReason) {

@@ -41,7 +41,7 @@ use nvmetro_sim::cost::CostModel;
 use nvmetro_sim::{Actor, CpuMode, Ns, Progress, Station, MS, US};
 use nvmetro_telemetry::{Depth, Metric, PathKind, Route, Segment, Stage, TelemetryHandle, Tier};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
 
 /// The kernel path a VM's requests may be routed through (implemented by
@@ -147,31 +147,47 @@ pub struct RouterStats {
 }
 
 impl RouterStats {
+    /// The counter that mirrors telemetry metric `m`, if the router keeps
+    /// one (see [`Router::tally`]). Every field has exactly one metric, so
+    /// this match is also the field list `merge` walks.
+    #[inline]
+    fn counter_mut(&mut self, m: Metric) -> Option<&mut u64> {
+        Some(match m {
+            Metric::Accepted => &mut self.accepted,
+            Metric::ClassifierRuns => &mut self.classifier_runs,
+            Metric::SentFast => &mut self.sent_hq,
+            Metric::SentKernel => &mut self.sent_kq,
+            Metric::SentNotify => &mut self.sent_nq,
+            Metric::Multicasts => &mut self.multicasts,
+            Metric::Completed => &mut self.completed,
+            Metric::Errors => &mut self.errors,
+            Metric::Spurious => &mut self.spurious,
+            Metric::Retries => &mut self.retries,
+            Metric::Aborts => &mut self.aborts,
+            Metric::Failovers => &mut self.failovers,
+            Metric::VcqRetryDrops => &mut self.vcq_retry_drops,
+            Metric::LateCompletions => &mut self.late_completions,
+            Metric::CqNotifies => &mut self.cq_notifies,
+            Metric::CqBatches => &mut self.cq_batches,
+            Metric::CoalescedReads => &mut self.coalesced_reads,
+            Metric::CoalesceFanout => &mut self.coalesce_fanout,
+            Metric::ThrottleApplied => &mut self.sched_throttled,
+            Metric::SchedulerPreemptions => &mut self.sched_preemptions,
+            Metric::ReplayedRequests => &mut self.replayed,
+            Metric::EpochLateDrops => &mut self.epoch_late_drops,
+            _ => return None,
+        })
+    }
+
     /// Adds another shard's counters into this one (used by the engine's
     /// aggregated view).
     pub fn merge(&mut self, other: &RouterStats) {
-        self.accepted += other.accepted;
-        self.classifier_runs += other.classifier_runs;
-        self.sent_hq += other.sent_hq;
-        self.sent_kq += other.sent_kq;
-        self.sent_nq += other.sent_nq;
-        self.multicasts += other.multicasts;
-        self.completed += other.completed;
-        self.errors += other.errors;
-        self.spurious += other.spurious;
-        self.retries += other.retries;
-        self.aborts += other.aborts;
-        self.failovers += other.failovers;
-        self.vcq_retry_drops += other.vcq_retry_drops;
-        self.late_completions += other.late_completions;
-        self.cq_notifies += other.cq_notifies;
-        self.cq_batches += other.cq_batches;
-        self.coalesced_reads += other.coalesced_reads;
-        self.coalesce_fanout += other.coalesce_fanout;
-        self.sched_throttled += other.sched_throttled;
-        self.sched_preemptions += other.sched_preemptions;
-        self.replayed += other.replayed;
-        self.epoch_late_drops += other.epoch_late_drops;
+        let mut other = *other;
+        for m in Metric::ALL {
+            if let (Some(sum), Some(add)) = (self.counter_mut(m), other.counter_mut(m)) {
+                *sum += *add;
+            }
+        }
     }
 }
 
@@ -198,17 +214,46 @@ type Timer = (Ns, u16, u64, u16, u8);
 /// A pending re-dispatch: at `.0`, replay request `(tag, seq)` of VM `.3`.
 type RetryEntry = (Ns, u16, u64, u16);
 
+/// Pops the earliest entry of a min-heap if `due` accepts it.
+fn pop_due<T: Ord>(heap: &mut BinaryHeap<Reverse<T>>, due: impl Fn(&T) -> bool) -> Option<T> {
+    let top = heap.peek_mut()?;
+    due(&top.0).then(|| PeekMut::pop(top).0)
+}
+
 /// Default per-queue batch: entries drained per SQ visit and the unit of
 /// CQ doorbell coalescing (the paper's "process multiple requests per
 /// poll" discipline).
 pub const DEFAULT_BATCH: usize = 32;
+
+/// One bound VM slot: the binding plus the router's per-slot state.
+struct VmSlot {
+    binding: VmBinding,
+    /// Fast-path circuit breaker (consulted only with recovery on).
+    breaker: CircuitBreaker,
+    /// False once detached: the binding is then an inert tombstone that
+    /// ingest and views skip.
+    active: bool,
+    /// Per-slot admission gate (hot detach pauses one tenant's VSQs
+    /// without disturbing anyone else's).
+    admitting: bool,
+    /// Station work items queued for this slot: lets `vm_quiesced` answer
+    /// per tenant without requiring the whole station to be empty.
+    work: usize,
+    /// Time of the last VSQ drain that produced work.
+    last_arrival: Ns,
+    /// EWMA of the gaps between such drains; the hottest slot's gap feeds
+    /// the governor's park decision.
+    arrival_gap: Ns,
+    /// Tenant-scheduler slot (fleet mode only).
+    fleet_slot: usize,
+}
 
 /// The I/O router actor. One router instance is one worker thread in the
 /// paper's deployment; several VMs share it round-robin.
 pub struct Router {
     name: String,
     cost: CostModel,
-    vms: Vec<VmBinding>,
+    vms: Vec<VmSlot>,
     table: RoutingTable,
     station: Station<Work>,
     kernel_out: Vec<(u16, Status)>,
@@ -221,14 +266,11 @@ pub struct Router {
     scratch: RequestCtx,
     telemetry: TelemetryHandle,
     recovery: Option<RecoveryConfig>,
-    breakers: Vec<CircuitBreaker>,
     timers: BinaryHeap<Reverse<Timer>>,
     retryq: BinaryHeap<Reverse<RetryEntry>>,
     next_seq: u64,
     /// Fleet-mode per-tenant admission scheduler (None = FIFO drain).
     fleet: Option<TenantScheduler>,
-    /// VM-binding index → scheduler slot, parallel to `vms`.
-    fleet_slots: Vec<usize>,
     /// Rotating start index for the scheduled VSQ drain, so tenant visit
     /// order itself is fair across rounds.
     drain_cursor: usize,
@@ -245,24 +287,10 @@ pub struct Router {
     /// VSQ is drained but completions, timers, and retries keep running so
     /// in-flight work converges.
     admitting: bool,
-    /// Per-VM-slot liveness, parallel to `vms`. A detached slot holds an
-    /// inert tombstone binding and is skipped by ingest and views.
-    vm_active: Vec<bool>,
-    /// Per-VM-slot admission gate (hot detach pauses one tenant's VSQs
-    /// without disturbing anyone else's).
-    vm_admitting: Vec<bool>,
-    /// Station work items queued per VM slot (parallel to `vms`): lets
-    /// `vm_quiesced` answer per-tenant without requiring the whole
-    /// station to be empty.
-    vm_work: Vec<usize>,
     /// Poll governor (None = unconditional busy-poll, the legacy mode).
     governor: Option<PollGovernor>,
     /// Batch auto-tuner (None = the batch bound is fixed).
     tuner: Option<BatchTuner>,
-    /// Per-VM-slot arrival tracking, parallel to `vms`: timestamp of the
-    /// last VSQ drain that produced work and the EWMA of the gaps between
-    /// them. The hottest queue's EWMA feeds the governor's park decision.
-    arrivals: Vec<(Ns, Ns)>,
     /// Wakeup latency owed to the first station push after a park exit.
     pending_wake_debt: Ns,
     /// Extra cost per reaped device completion when this shard is pinned
@@ -296,23 +324,17 @@ impl Router {
             scratch: RequestCtx::empty(),
             telemetry: TelemetryHandle::disabled(),
             recovery: None,
-            breakers: Vec::new(),
             timers: BinaryHeap::new(),
             retryq: BinaryHeap::new(),
             next_seq: 0,
             fleet: None,
-            fleet_slots: Vec::new(),
             drain_cursor: 0,
             sched_recheck: None,
             coalesce: None,
             generation: 1,
             admitting: true,
-            vm_active: Vec::new(),
-            vm_admitting: Vec::new(),
-            vm_work: Vec::new(),
             governor: None,
             tuner: None,
-            arrivals: Vec::new(),
             pending_wake_debt: 0,
             completion_penalty: 0,
             #[cfg(debug_assertions)]
@@ -334,17 +356,15 @@ impl Router {
     /// over to the kernel path (configured via `RouterBuilder::recovery`).
     /// Without it the router surfaces every fault to the guest verbatim.
     pub(crate) fn configure_recovery(&mut self, cfg: RecoveryConfig) {
-        self.breakers = self
-            .vms
-            .iter()
-            .map(|_| CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown))
-            .collect();
+        for slot in &mut self.vms {
+            slot.breaker = CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown);
+        }
         self.recovery = Some(cfg);
     }
 
     /// The VM's fast-path circuit breaker, when recovery is on.
     pub fn breaker(&self, vm: usize) -> Option<&CircuitBreaker> {
-        self.breakers.get(vm)
+        self.vms.get(vm).map(|s| &s.breaker)
     }
 
     /// `(vm_id, breaker)` for every live bound VM, in bind order (used by
@@ -353,20 +373,39 @@ impl Router {
     pub(crate) fn breaker_view(&self) -> impl Iterator<Item = (u32, &CircuitBreaker)> {
         self.vms
             .iter()
-            .map(|v| v.vm_id)
-            .zip(self.breakers.iter())
-            .zip(self.vm_active.iter())
-            .filter(|&(_, &active)| active)
-            .map(|(pair, _)| pair)
+            .filter(|s| s.active)
+            .map(|s| (s.binding.vm_id, &s.breaker))
     }
 
     /// Feeds one failure to a VM's breaker, counting the Closed→Open
     /// transition (the watchdog's flap detector consumes that counter).
     fn breaker_failure(&mut self, vm: usize, t: Ns) {
-        let was_open = self.breakers[vm].is_open();
-        self.breakers[vm].on_failure(t);
-        if !was_open && self.breakers[vm].is_open() {
+        let breaker = &mut self.vms[vm].breaker;
+        let was_open = breaker.is_open();
+        breaker.on_failure(t);
+        if !was_open && breaker.is_open() {
             self.telemetry.count(Metric::BreakerOpens);
+        }
+    }
+
+    /// Bumps a [`RouterStats`] counter and its telemetry metric together,
+    /// so the two views can never disagree.
+    #[inline]
+    fn tally(&mut self, m: Metric, n: u64) {
+        if let Some(c) = self.stats.counter_mut(m) {
+            *c += n;
+        }
+        self.telemetry.add(m, n);
+    }
+
+    /// Records a lifecycle event for the request at `tag`, naming it by the
+    /// (vm, vsq, generation) its table entry carries.
+    #[inline]
+    fn trace(&self, t: Ns, tag: u16, stage: Stage, path: PathKind) {
+        if let Some(s) = self.table.get(tag) {
+            let gen = Self::gen_of(s.seq);
+            self.telemetry
+                .request_event(t, s.vm, s.vsq, tag, gen, stage, path);
         }
     }
 
@@ -427,21 +466,12 @@ impl Router {
     /// undrained VSQ entries. This is the doorbell a parked shard must
     /// not sleep through.
     fn doorbell_pending(&self) -> bool {
-        for (i, vm) in self.vms.iter().enumerate() {
-            if !self.vm_active[i] {
-                continue;
-            }
-            if !vm.hcq.is_empty() {
-                return true;
-            }
-            if vm.notify.as_ref().is_some_and(|n| !n.ncq.is_empty()) {
-                return true;
-            }
-            if self.admitting && self.vm_admitting[i] && vm.vsqs.iter().any(|q| !q.is_empty()) {
-                return true;
-            }
-        }
-        false
+        self.vms.iter().filter(|s| s.active).any(|s| {
+            let vm = &s.binding;
+            !vm.hcq.is_empty()
+                || vm.notify.as_ref().is_some_and(|n| !n.ncq.is_empty())
+                || (self.admitting && s.admitting && vm.vsqs.iter().any(|q| !q.is_empty()))
+        })
     }
 
     /// Consumes the wakeup latency owed by the last park exit (applied to
@@ -452,22 +482,24 @@ impl Router {
 
     /// Folds a produced-work observation into the slot's arrival EWMA.
     fn note_arrival(&mut self, vm: usize, now: Ns) {
-        let (last, gap) = &mut self.arrivals[vm];
-        let g = now.saturating_sub(*last);
-        if *last != 0 && g > 0 {
-            *gap = if *gap == 0 { g } else { (*gap * 7 + g) / 8 };
+        let slot = &mut self.vms[vm];
+        let g = now.saturating_sub(slot.last_arrival);
+        if slot.last_arrival != 0 && g > 0 {
+            slot.arrival_gap = match slot.arrival_gap {
+                0 => g,
+                gap => (gap * 7 + g) / 8,
+            };
         }
-        *last = now;
+        slot.last_arrival = now;
     }
 
     /// The hottest live queue's arrival-gap EWMA (None before any queue
     /// has two observations).
     fn min_arrival_gap(&self) -> Option<Ns> {
-        self.arrivals
+        self.vms
             .iter()
-            .zip(&self.vm_active)
-            .filter(|&(&(_, gap), &active)| active && gap > 0)
-            .map(|(&(_, gap), _)| gap)
+            .filter(|s| s.active && s.arrival_gap > 0)
+            .map(|s| s.arrival_gap)
             .min()
     }
 
@@ -479,7 +511,9 @@ impl Router {
     /// hostage.
     pub(crate) fn configure_fleet(&mut self, cfg: &FleetConfig) {
         let mut sched = TenantScheduler::new(cfg);
-        self.fleet_slots = self.vms.iter().map(|v| sched.slot(v.vm_id)).collect();
+        for slot in &mut self.vms {
+            slot.fleet_slot = sched.slot(slot.binding.vm_id);
+        }
         self.fleet = Some(sched);
     }
 
@@ -507,19 +541,17 @@ impl Router {
 
     /// Binds a VM; returns its index.
     pub fn bind_vm(&mut self, binding: VmBinding) -> usize {
-        if let Some(f) = self.fleet.as_mut() {
-            self.fleet_slots.push(f.slot(binding.vm_id));
-        }
-        self.vms.push(binding);
         let cfg = self.recovery.unwrap_or_default();
-        self.breakers.push(CircuitBreaker::new(
-            cfg.breaker_threshold,
-            cfg.breaker_cooldown,
-        ));
-        self.vm_active.push(true);
-        self.vm_admitting.push(true);
-        self.vm_work.push(0);
-        self.arrivals.push((0, 0));
+        self.vms.push(VmSlot {
+            fleet_slot: self.fleet.as_mut().map_or(0, |f| f.slot(binding.vm_id)),
+            binding,
+            breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
+            active: true,
+            admitting: true,
+            work: 0,
+            last_arrival: 0,
+            arrival_gap: 0,
+        });
         self.vms.len() - 1
     }
 
@@ -536,119 +568,52 @@ impl Router {
     /// Access to a bound VM's classifier (host-side configuration of
     /// classifier maps, on-the-fly classifier replacement).
     pub fn classifier_mut(&mut self, vm: usize) -> &mut Classifier {
-        &mut self.vms[vm].classifier
+        &mut self.vms[vm].binding.classifier
     }
 
     fn ingest(&mut self, now: Ns) -> bool {
         let mut any = false;
-        let batch = self.batch;
         for vm in 0..self.vms.len() {
-            if !self.vm_active[vm] {
+            if !self.vms[vm].active {
                 continue; // detached tombstone: nothing to drain
             }
-            // Fast-path completions (bounded: leftovers keep the poll Busy,
-            // so the next visit continues where this one stopped).
-            for _ in 0..batch {
-                let Some(cqe) = self.vms[vm].hcq.pop() else {
+            // Path completions, fast then kernel then notify. Device and
+            // notify rings give up at most one batch per visit (leftovers
+            // keep the poll Busy, so the next visit continues there).
+            for _ in 0..self.batch {
+                let Some(cqe) = self.vms[vm].binding.hcq.pop() else {
                     break;
                 };
-                let tag = cqe.cid;
-                let cost = self.completion_cost(tag, path_bits::HQ) + self.take_wake_debt();
-                self.vm_work[vm] += 1;
-                self.station.push(
-                    Work::PathDone {
-                        vm,
-                        path: path_bits::HQ,
-                        tag,
-                        status: cqe.status(),
-                    },
-                    cost,
-                    now,
-                );
                 any = true;
+                self.reap(vm, path_bits::HQ, cqe.cid, cqe.status(), now);
             }
-            // Kernel-path completions.
-            if let Some(kernel) = self.vms[vm].kernel.as_mut() {
-                self.kernel_out.clear();
-                kernel.poll(now, &mut self.kernel_out);
-                let done: Vec<(u16, Status)> = self.kernel_out.drain(..).collect();
-                for (tag, status) in done {
-                    let cost = self.completion_cost(tag, path_bits::KQ) + self.take_wake_debt();
-                    self.vm_work[vm] += 1;
-                    self.station.push(
-                        Work::PathDone {
-                            vm,
-                            path: path_bits::KQ,
-                            tag,
-                            status,
-                        },
-                        cost,
-                        now,
-                    );
+            if let Some(kernel) = self.vms[vm].binding.kernel.as_mut() {
+                let mut done = std::mem::take(&mut self.kernel_out);
+                kernel.poll(now, &mut done);
+                for (tag, status) in done.drain(..) {
                     any = true;
+                    self.reap(vm, path_bits::KQ, tag, status, now);
                 }
+                self.kernel_out = done;
             }
-            // Notify-path completions.
-            for _ in 0..batch {
-                let Some(cqe) = self.vms[vm].notify.as_ref().and_then(|n| n.ncq.pop()) else {
+            for _ in 0..self.batch {
+                let Some(cqe) = self.vms[vm]
+                    .binding
+                    .notify
+                    .as_ref()
+                    .and_then(|n| n.ncq.pop())
+                else {
                     break;
                 };
-                let tag = cqe.cid;
-                let cost = self.completion_cost(tag, path_bits::NQ) + self.take_wake_debt();
-                self.vm_work[vm] += 1;
-                self.station.push(
-                    Work::PathDone {
-                        vm,
-                        path: path_bits::NQ,
-                        tag,
-                        status: cqe.status(),
-                    },
-                    cost,
-                    now,
-                );
                 any = true;
+                self.reap(vm, path_bits::NQ, cqe.cid, cqe.status(), now);
             }
             // New guest commands (after completions: frees table slots).
-            // Each SQ visit drains at most `batch` entries, so one flooding
-            // queue cannot starve its neighbours: the round-robin moves on
-            // and returns once every other queue has had its turn. In
-            // fleet mode admission is the scheduler's call instead — see
-            // `drain_vsqs_scheduled`. Quiesce (shard-wide or per-VM) stops
-            // exactly here: completions above keep draining.
-            if self.fleet.is_none() && self.admitting && self.vm_admitting[vm] {
-                let mut vm_drained = 0u64;
-                for vsq in 0..self.vms[vm].vsqs.len() {
-                    let mut drained = 0u64;
-                    for _ in 0..batch {
-                        let Some((cmd, _)) = self.vms[vm].vsqs[vsq].pop() else {
-                            break;
-                        };
-                        let cost =
-                            self.cost.router_cmd + self.cost.classifier_run + self.take_wake_debt();
-                        self.vm_work[vm] += 1;
-                        self.station.push(
-                            Work::Ingress {
-                                vm,
-                                vsq: vsq as u16,
-                                cmd,
-                            },
-                            cost,
-                            now,
-                        );
-                        drained += 1;
-                        any = true;
-                    }
-                    if drained > 0 {
-                        self.telemetry.depth(Depth::SqBurst, drained);
-                        if let Some(t) = &mut self.tuner {
-                            t.record_visit(drained, batch);
-                        }
-                        vm_drained += drained;
-                    }
-                }
-                if vm_drained > 0 {
-                    self.note_arrival(vm, now);
-                }
+            // In fleet mode admission is the scheduler's call instead —
+            // see `drain_vsqs_scheduled`. Quiesce (shard-wide or per-VM)
+            // stops exactly here: completions above keep draining.
+            if self.fleet.is_none() && self.admitting && self.vms[vm].admitting {
+                any |= self.admit_vm(vm, now, None);
             }
         }
         if self.fleet.is_some() && self.admitting {
@@ -661,90 +626,117 @@ impl Router {
         any
     }
 
+    /// Hands one reaped path completion to the station as `PathDone`.
+    fn reap(&mut self, vm: usize, path: u8, tag: u16, status: Status, now: Ns) {
+        let cost = self.completion_cost(tag, path) + self.take_wake_debt();
+        self.vms[vm].work += 1;
+        let work = Work::PathDone {
+            vm,
+            path,
+            tag,
+            status,
+        };
+        self.station.push(work, cost, now);
+    }
+
+    /// Admits one VM's new commands: each VSQ visit moves at most `batch`
+    /// entries, so one flooding queue cannot starve its neighbours — the
+    /// round-robin moves on and returns once every other queue has had its
+    /// turn. With a fleet scheduler each command must first win the
+    /// tenant's DRR deficit and token bucket; a denial skips the tenant's
+    /// remaining queues for this round. Returns whether anything entered.
+    // Runs for every VM on every poll, idle ones included.
+    #[inline(always)]
+    fn admit_vm(&mut self, vm: usize, now: Ns, mut sched: Option<&mut TenantScheduler>) -> bool {
+        let (batch, slot) = (self.batch, self.vms[vm].fleet_slot);
+        let mut denied = false;
+        let mut served = 0u64;
+        for vsq in 0..self.vms[vm].binding.vsqs.len() {
+            let mut drained = 0u64;
+            while drained < batch as u64 && !self.vms[vm].binding.vsqs[vsq].is_empty() {
+                if let Some(sched) = sched.as_deref_mut() {
+                    if !self.sched_admit(sched, slot, now) {
+                        denied = true;
+                        break;
+                    }
+                }
+                let Some((cmd, _)) = self.vms[vm].binding.vsqs[vsq].pop() else {
+                    break;
+                };
+                let cost = self.cost.router_cmd + self.cost.classifier_run + self.take_wake_debt();
+                self.vms[vm].work += 1;
+                let vsq = vsq as u16;
+                self.station.push(Work::Ingress { vm, vsq, cmd }, cost, now);
+                drained += 1;
+            }
+            served += drained;
+            if denied {
+                break; // a visit cut short is not an SQ-burst observation
+            }
+            if drained > 0 {
+                self.telemetry.depth(Depth::SqBurst, drained);
+                if let Some(t) = &mut self.tuner {
+                    t.record_visit(drained, batch);
+                }
+            }
+        }
+        if let Some(sched) = sched {
+            let backlog_empty = !denied && self.vms[vm].binding.vsqs.iter().all(|q| q.is_empty());
+            sched.end_visit(slot, backlog_empty);
+            if served > 0 {
+                self.telemetry.depth(Depth::TenantServed, served);
+            }
+        }
+        if served > 0 {
+            self.note_arrival(vm, now);
+        }
+        served > 0
+    }
+
+    /// Asks the tenant's DRR deficit (weighted share of the round) and
+    /// token bucket (rate + burst, scaled by the governor's throttle knob)
+    /// to admit one command. A denial arms `sched_recheck` so `next_event`
+    /// keeps virtual time moving even when every other actor has gone
+    /// quiet.
+    fn sched_admit(&mut self, sched: &mut TenantScheduler, slot: usize, now: Ns) -> bool {
+        let at = match sched.admit(slot, now) {
+            Admit::Granted => return true,
+            Admit::Throttled => {
+                self.tally(Metric::ThrottleApplied, 1);
+                sched.next_token_at(slot, now)
+            }
+            Admit::Exhausted => {
+                // The next DRR round happens on the next poll; schedule
+                // one in case the rig is otherwise idle.
+                self.tally(Metric::SchedulerPreemptions, 1);
+                now + US
+            }
+        };
+        self.sched_recheck = Some(self.sched_recheck.map_or(at, |r| r.min(at)));
+        false
+    }
+
     /// Fleet-mode VSQ drain: one DRR round over all tenants, visit order
-    /// rotating round to round. Admission of each command is gated by the
-    /// tenant's deficit (weighted share of the round) and token bucket
-    /// (rate + burst, scaled by the governor's throttle knob); a denial
-    /// skips the tenant's remaining queues for this round. Deferred
-    /// backlog arms `sched_recheck` so `next_event` keeps virtual time
-    /// moving even when every other actor has gone quiet.
+    /// rotating round to round so the order itself is fair. Unlike the
+    /// FIFO drain, which admits each VM right after reaping its
+    /// completions, this runs once every VM's completions are in.
     fn drain_vsqs_scheduled(&mut self, now: Ns) -> bool {
         let n = self.vms.len();
         if n == 0 {
             return false;
         }
-        let batch = self.batch;
+        let Some(mut sched) = self.fleet.take() else {
+            return false;
+        };
         let mut any = false;
         let start = self.drain_cursor % n;
         self.drain_cursor = self.drain_cursor.wrapping_add(1);
         self.sched_recheck = None;
-        let mut sched = self.fleet.take().expect("fleet mode");
         sched.new_round();
         for k in 0..n {
             let vm = (start + k) % n;
-            if !self.vm_active[vm] || !self.vm_admitting[vm] {
-                continue; // detached or individually quiesced tenant
-            }
-            let slot = self.fleet_slots[vm];
-            let mut served = 0u64;
-            let mut denied = false;
-            'vm_queues: for vsq in 0..self.vms[vm].vsqs.len() {
-                let mut drained = 0u64;
-                for _ in 0..batch {
-                    if self.vms[vm].vsqs[vsq].is_empty() {
-                        break;
-                    }
-                    match sched.admit(slot, now) {
-                        Admit::Granted => {}
-                        Admit::Throttled => {
-                            self.stats.sched_throttled += 1;
-                            self.telemetry.count(Metric::ThrottleApplied);
-                            let at = sched.next_token_at(slot, now);
-                            self.sched_recheck = Some(self.sched_recheck.map_or(at, |r| r.min(at)));
-                            denied = true;
-                            break 'vm_queues;
-                        }
-                        Admit::Exhausted => {
-                            self.stats.sched_preemptions += 1;
-                            self.telemetry.count(Metric::SchedulerPreemptions);
-                            // The next DRR round happens on the next poll;
-                            // schedule one in case the rig is otherwise
-                            // idle.
-                            let at = now + US;
-                            self.sched_recheck = Some(self.sched_recheck.map_or(at, |r| r.min(at)));
-                            denied = true;
-                            break 'vm_queues;
-                        }
-                    }
-                    let (cmd, _) = self.vms[vm].vsqs[vsq].pop().expect("checked non-empty");
-                    let cost =
-                        self.cost.router_cmd + self.cost.classifier_run + self.take_wake_debt();
-                    self.vm_work[vm] += 1;
-                    self.station.push(
-                        Work::Ingress {
-                            vm,
-                            vsq: vsq as u16,
-                            cmd,
-                        },
-                        cost,
-                        now,
-                    );
-                    drained += 1;
-                    served += 1;
-                    any = true;
-                }
-                if drained > 0 {
-                    self.telemetry.depth(Depth::SqBurst, drained);
-                    if let Some(t) = &mut self.tuner {
-                        t.record_visit(drained, batch);
-                    }
-                }
-            }
-            let backlog_empty = !denied && self.vms[vm].vsqs.iter().all(|q| q.is_empty());
-            sched.end_visit(slot, backlog_empty);
-            if served > 0 {
-                self.telemetry.depth(Depth::TenantServed, served);
-                self.note_arrival(vm, now);
+            if self.vms[vm].active && self.vms[vm].admitting {
+                any |= self.admit_vm(vm, now, Some(&mut sched));
             }
         }
         self.fleet = Some(sched);
@@ -775,7 +767,7 @@ impl Router {
 
     fn apply(&mut self, work: Work, t: Ns) {
         let (Work::Ingress { vm, .. } | Work::PathDone { vm, .. }) = work;
-        self.vm_work[vm] = self.vm_work[vm].saturating_sub(1);
+        self.vms[vm].work = self.vms[vm].work.saturating_sub(1);
         match work {
             Work::Ingress { vm, vsq, cmd } => self.apply_ingress(vm, vsq, cmd, t),
             Work::PathDone {
@@ -788,108 +780,56 @@ impl Router {
     }
 
     fn apply_ingress(&mut self, vm: usize, vsq: u16, cmd: SubmissionEntry, t: Ns) {
-        self.stats.accepted += 1;
-        self.telemetry.count(Metric::Accepted);
-        self.next_seq += 1;
-        let state = RequestState {
-            vm: self.vms[vm].vm_id,
-            slot: vm as u16,
-            vsq,
-            guest_cid: cmd.cid,
-            cmd,
-            pending: 0,
-            hooks: 0,
-            will_complete: 0,
-            status: Status::SUCCESS,
-            user_tag: 0,
-            accepted_at: t,
-            sent_paths: 0,
-            dispatched_at: 0,
-            serviced_at: 0,
-            seq: self.next_seq,
-            retries: 0,
-            deadline: 0,
-            dispatch_send: 0,
-            dispatch_hooks: 0,
-            dispatch_wc: 0,
-            orphaned: 0,
-            zombie: false,
-            first_fault_at: 0,
-            generation: self.generation,
+        self.tally(Metric::Accepted, 1);
+        let vm_id = self.vms[vm].binding.vm_id;
+        let state = RequestState::new(vm_id, vm as u16, vsq, cmd, t, self.generation);
+        let Some(tag) = self.track(state, t) else {
+            return;
         };
-        let tag = match self.table.insert(state) {
-            Some(tag) => tag,
-            None => {
-                // Routing table exhausted: fail the request (the guest sees
-                // a transient internal error, like a controller under
-                // resource pressure).
-                let cqe = CompletionEntry::new(cmd.cid, Status::INTERNAL);
-                // post_vcq counts the error; counting it here too used to
-                // double-book `stats.errors` for table-full rejections.
-                self.post_vcq(vm, vsq, cqe, t);
-                return;
-            }
-        };
-        self.telemetry.request_event(
-            t,
-            self.vms[vm].vm_id,
-            vsq,
-            tag,
-            Self::gen_of(self.next_seq),
-            Stage::VsqFetch,
-            PathKind::None,
-        );
         let verdict = self.run_classifier(vm, tag, HOOK_VSQ, Status::SUCCESS, t);
         self.route(vm, tag, verdict, t);
     }
 
+    /// Enters a new request in the routing table under the next sequence
+    /// number and opens its span. A full table fails the request at once:
+    /// the guest sees a transient internal error, like a controller under
+    /// resource pressure, instead of losing the command.
+    fn track(&mut self, mut state: RequestState, t: Ns) -> Option<u16> {
+        self.next_seq += 1;
+        state.seq = self.next_seq;
+        let (slot, vsq, cid) = (state.slot as usize, state.vsq, state.guest_cid);
+        let Some(tag) = self.table.insert(state) else {
+            self.post_vcq(slot, vsq, CompletionEntry::new(cid, Status::INTERNAL));
+            return None;
+        };
+        self.trace(t, tag, Stage::VsqFetch, PathKind::None);
+        Some(tag)
+    }
+
     fn apply_path_done(&mut self, vm: usize, path: u8, tag: u16, status: Status, t: Ns) {
+        let Some(state) = self.table.get(tag) else {
+            self.tally(Metric::Spurious, 1);
+            return;
+        };
         // Epoch fence (servicing): a slot admitted under an older engine
         // generation is a pre-snapshot attempt whose guest answer comes
         // (or came) from the replay. Its legs are dropped here however the
         // shard is configured — recovery on or off — so a stale completion
         // can never satisfy, or corrupt, a post-restore command.
-        if let Some(state) = self.table.get(tag) {
-            if state.generation != self.generation {
-                let state = self.table.get_mut(tag).expect("present");
-                state.orphaned &= !path;
-                let drained = state.pending == 0 && state.orphaned == 0;
-                self.stats.late_completions += 1;
-                self.stats.epoch_late_drops += 1;
-                self.telemetry.count(Metric::LateCompletions);
-                self.telemetry.count(Metric::EpochLateDrops);
-                if drained {
-                    self.table.remove(tag);
-                }
-                return;
-            }
+        if state.generation != self.generation {
+            return self.drop_late_leg(tag, path, true);
         }
         if self.recovery.is_some() {
-            let Some(state) = self.table.get(tag) else {
-                self.stats.spurious += 1;
-                self.telemetry.count(Metric::Spurious);
-                return;
-            };
             if state.zombie || state.orphaned & path != 0 {
-                // A leg abandoned by an abort finally reported in. Drop it
-                // as late — the guest already has its answer — and reclaim
-                // the quarantined slot once every leg is accounted for.
-                let state = self.table.get_mut(tag).expect("present");
-                state.orphaned &= !path;
-                let drained = state.zombie && state.pending == 0 && state.orphaned == 0;
-                self.stats.late_completions += 1;
-                self.telemetry.count(Metric::LateCompletions);
-                if drained {
-                    self.table.remove(tag);
-                }
-                return;
+                // A leg abandoned by an abort finally reported in; the
+                // guest already has its answer.
+                return self.drop_late_leg(tag, path, false);
             }
             if state.pending & path == 0 {
                 // Duplicate completion for a live request (e.g. the same
                 // path answering twice): ignore it rather than double-
                 // finishing the request.
-                self.stats.spurious += 1;
-                self.telemetry.count(Metric::Spurious);
+                self.tally(Metric::Spurious, 1);
                 return;
             }
             // Feed the fast-path breaker from real device outcomes.
@@ -897,42 +837,29 @@ impl Router {
                 if status.is_error() {
                     self.breaker_failure(vm, t);
                 } else {
-                    self.breakers[vm].on_success();
+                    self.vms[vm].breaker.on_success();
                 }
             }
         }
-        let (hooked, vm_id, vsq, seq) = {
-            let Some(state) = self.table.get_mut(tag) else {
-                self.stats.spurious += 1;
-                self.telemetry.count(Metric::Spurious);
-                return;
-            };
-            state.pending &= !path;
-            state.serviced_at = t;
-            if status.is_error() {
-                if !state.status.is_error() {
-                    state.status = status;
-                }
-                if state.first_fault_at == 0 {
-                    state.first_fault_at = t;
-                }
-            }
-            (state.hooks & path != 0, state.vm, state.vsq, state.seq)
+        let Some(state) = self.table.get_mut(tag) else {
+            return;
         };
-        if hooked {
+        state.pending &= !path;
+        state.serviced_at = t;
+        if status.is_error() {
+            if !state.status.is_error() {
+                state.status = status;
+            }
+            if state.first_fault_at == 0 {
+                state.first_fault_at = t;
+            }
+        }
+        if state.hooks & path != 0 {
             // One-shot hook: consume it, then let the classifier decide the
             // next leg of the state machine.
-            self.table.get_mut(tag).expect("still present").hooks &= !path;
+            state.hooks &= !path;
             self.telemetry.count(Metric::HookReentries);
-            self.telemetry.request_event(
-                t,
-                vm_id,
-                vsq,
-                tag,
-                Self::gen_of(seq),
-                Stage::HookReentry,
-                Self::path_kind(path),
-            );
+            self.trace(t, tag, Stage::HookReentry, Self::path_kind(path));
             let hook_id = match path {
                 path_bits::HQ => HOOK_HCQ,
                 path_bits::KQ => HOOK_KCQ,
@@ -940,16 +867,33 @@ impl Router {
             };
             let verdict = self.run_classifier(vm, tag, hook_id, status, t);
             self.route(vm, tag, verdict, t);
-            return;
-        }
-        let state = self.table.get_mut(tag).expect("still present");
-        let wc = state.will_complete & path != 0;
-        if state.pending == 0 && (wc || state.will_complete == 0) {
+        } else if state.pending == 0
+            && (state.will_complete & path != 0 || state.will_complete == 0)
+        {
             let final_status = state.status;
             self.finish(vm, tag, final_status, t);
         }
         // Otherwise: a multicast leg finished but others are outstanding —
         // wait for them.
+    }
+
+    /// Drops a leg that reported in after its request stopped waiting for
+    /// it — abandoned by an abort, or admitted under an older generation
+    /// (`epoch_late`) — and reclaims the quarantined slot once every leg
+    /// is accounted for.
+    fn drop_late_leg(&mut self, tag: u16, path: u8, epoch_late: bool) {
+        let Some(state) = self.table.get_mut(tag) else {
+            return;
+        };
+        state.orphaned &= !path;
+        let drained = (epoch_late || state.zombie) && state.pending == 0 && state.orphaned == 0;
+        self.tally(Metric::LateCompletions, 1);
+        if epoch_late {
+            self.tally(Metric::EpochLateDrops, 1);
+        }
+        if drained {
+            self.table.remove(tag);
+        }
     }
 
     /// Telemetry path annotation for a path bit.
@@ -963,22 +907,21 @@ impl Router {
     }
 
     fn run_classifier(&mut self, vm: usize, tag: u16, hook: u32, error: Status, t: Ns) -> Verdict {
-        self.stats.classifier_runs += 1;
-        self.telemetry.count(Metric::ClassifierRuns);
+        self.tally(Metric::ClassifierRuns, 1);
         let state = self.table.get(tag).expect("request tracked");
-        let (vm_id, vsq, seq) = (state.vm, state.vsq, state.seq);
+        let binding = &mut self.vms[vm].binding;
         // Zero-copy marshalling: refill the router's scratch context in
         // place instead of constructing a fresh buffer per invocation.
         self.scratch.fill(
             hook,
-            self.vms[vm].vm_id,
+            binding.vm_id,
             state.vsq,
             &state.cmd,
             error,
             state.user_tag,
         );
         let started = self.telemetry.enabled().then(std::time::Instant::now);
-        let outcome = self.vms[vm].classifier.run_tiered(&mut self.scratch, t);
+        let outcome = binding.classifier.run_tiered(&mut self.scratch, t);
         if let Some(tier) = outcome.tier {
             let (metric, tier) = match tier {
                 nvmetro_vbpf::Tier::Interp => (Metric::ClassifierInterp, Tier::Interp),
@@ -991,20 +934,15 @@ impl Router {
                     .tier_latency(tier, started.elapsed().as_nanos() as u64);
             }
         }
-        self.telemetry.request_event(
-            t,
-            vm_id,
-            vsq,
-            tag,
-            Self::gen_of(seq),
-            Stage::Classified,
-            PathKind::None,
-        );
+        self.trace(t, tag, Stage::Classified, PathKind::None);
         // Direct mediation: copy back only the fields the verifier proved
         // the classifier can write (everything, for native classifiers).
         let dirty = outcome.dirty;
-        if dirty != MediatedFields::NONE {
-            let state = self.table.get_mut(tag).expect("request tracked");
+        if let Some(state) = self
+            .table
+            .get_mut(tag)
+            .filter(|_| dirty != MediatedFields::NONE)
+        {
             if dirty.contains(MediatedFields::SLBA) {
                 state.cmd.set_slba(self.scratch.slba());
             }
@@ -1031,7 +969,7 @@ impl Router {
             self.finish(vm, tag, Status::PATH_ERROR, t);
             return;
         }
-        if self.coalesce.is_some() && self.try_coalesce(vm, tag, verdict) {
+        if self.try_coalesce(vm, tag, verdict) {
             // Parked as a follower of an in-flight duplicate read: no
             // dispatch; the leader's terminal completion fans out to it.
             return;
@@ -1053,7 +991,12 @@ impl Router {
     /// the request was parked as a follower (it must not be dispatched).
     fn try_coalesce(&mut self, vm: usize, tag: u16, verdict: Verdict) -> bool {
         const NVM_READ: u8 = 0x02;
-        let state = self.table.get(tag).expect("tracked");
+        let Some(win) = self.coalesce.as_mut() else {
+            return false;
+        };
+        let Some(state) = self.table.get(tag) else {
+            return false;
+        };
         if state.cmd.opcode != NVM_READ
             || verdict.send_mask() != path_bits::HQ
             || verdict.hook_mask() != 0
@@ -1072,20 +1015,16 @@ impl Router {
         // Followers skip dispatch() and with it the fast-path isolation
         // check; re-check partition bounds here so a request can only ever
         // coalesce onto data its own VM is allowed to read.
-        if !self.vms[vm].partition.contains(slba, nlb) {
+        if !self.vms[vm].binding.partition.contains(slba, nlb) {
             return false; // dispatch() rejects it with LBA_OUT_OF_RANGE
         }
-        let win = self.coalesce.as_mut().expect("coalesce checked by caller");
-        match win.try_join(slba, nlb, vm, tag) {
-            Join::Follower(_leader) => {
-                self.stats.coalesced_reads += 1;
-                self.telemetry.count(Metric::CoalescedReads);
-                true
-            }
-            // Leaders dispatch normally; the window watches their tag.
-            // Bypass (window bounds hit) degrades to plain dispatch.
-            Join::Leader | Join::Bypass => false,
+        // Leaders dispatch normally; the window watches their tag. Bypass
+        // (window bounds hit) degrades to plain dispatch.
+        let follower = matches!(win.try_join(slba, nlb, vm, tag), Join::Follower(_));
+        if follower {
+            self.tally(Metric::CoalescedReads, 1);
         }
+        follower
     }
 
     /// Fans a coalescing leader's terminal status out to its parked
@@ -1101,9 +1040,7 @@ impl Router {
         if followers.is_empty() {
             return;
         }
-        self.stats.coalesce_fanout += followers.len() as u64;
-        self.telemetry
-            .add(Metric::CoalesceFanout, followers.len() as u64);
+        self.tally(Metric::CoalesceFanout, followers.len() as u64);
         // The leader's slot is still resident (`finish` removes it after
         // this fan-out), so its generation is readable for the causal link.
         let leader_gen = self.table.get(tag).map_or(0, |s| Self::gen_of(s.seq));
@@ -1136,45 +1073,32 @@ impl Router {
         // half-open probe restores the device.
         if self.recovery.is_some()
             && send & path_bits::HQ != 0
-            && self.vms[vm].kernel.is_some()
-            && self.breakers[vm].gate(t) == Gate::Deny
+            && self.vms[vm].binding.kernel.is_some()
+            && self.vms[vm].breaker.gate(t) == Gate::Deny
         {
-            send = (send & !path_bits::HQ) | path_bits::KQ;
-            if hooks & path_bits::HQ != 0 {
-                hooks = (hooks & !path_bits::HQ) | path_bits::KQ;
-            }
-            if wc & path_bits::HQ != 0 {
-                wc = (wc & !path_bits::HQ) | path_bits::KQ;
-            }
-            self.stats.failovers += 1;
-            self.telemetry.count(Metric::Failovers);
-            let state = self.table.get(tag).expect("tracked");
-            self.telemetry.request_event(
-                t,
-                state.vm,
-                state.vsq,
-                tag,
-                Self::gen_of(state.seq),
-                Stage::Failover,
-                PathKind::Kernel,
-            );
+            let to_kernel = |m: u8| match m & path_bits::HQ {
+                0 => m,
+                _ => (m & !path_bits::HQ) | path_bits::KQ,
+            };
+            (send, hooks, wc) = (to_kernel(send), to_kernel(hooks), to_kernel(wc));
+            self.tally(Metric::Failovers, 1);
+            self.trace(t, tag, Stage::Failover, PathKind::Kernel);
         }
         if send.count_ones() > 1 {
-            self.stats.multicasts += 1;
-            self.telemetry.count(Metric::Multicasts);
+            self.tally(Metric::Multicasts, 1);
         }
+        let Some(state) = self.table.get_mut(tag) else {
+            return;
+        };
         // Isolation: the fast path reaches real hardware, so partition
         // bounds are enforced here, not trusted to the classifier.
-        if send & path_bits::HQ != 0 {
-            let state = self.table.get(tag).expect("tracked");
-            let (slba, nlb) = (state.cmd.slba(), state.cmd.nlb());
-            let has_lba = state.cmd.has_data() || matches!(state.cmd.opcode, 0x08 | 0x09);
-            if has_lba && !self.vms[vm].partition.contains(slba, nlb) {
-                self.finish(vm, tag, Status::LBA_OUT_OF_RANGE, t);
-                return;
-            }
+        let mut fwd = state.cmd;
+        let has_lba = fwd.has_data() || matches!(fwd.opcode, 0x08 | 0x09);
+        let partition = self.vms[vm].binding.partition;
+        if send & path_bits::HQ != 0 && has_lba && !partition.contains(fwd.slba(), fwd.nlb()) {
+            self.finish(vm, tag, Status::LBA_OUT_OF_RANGE, t);
+            return;
         }
-        let state = self.table.get_mut(tag).expect("tracked");
         state.hooks |= hooks;
         state.will_complete |= wc;
         state.sent_paths |= send;
@@ -1187,106 +1111,67 @@ impl Router {
         if state.dispatched_at == 0 {
             state.dispatched_at = t;
         }
-        let (vm_id, vsq, gen) = (state.vm, state.vsq, Self::gen_of(state.seq));
-        let mut fwd = state.cmd;
         fwd.cid = tag;
-        if send & path_bits::HQ != 0 {
-            self.table.get_mut(tag).expect("tracked").pending |= path_bits::HQ;
-            self.stats.sent_hq += 1;
-            self.telemetry.count(Metric::SentFast);
-            self.telemetry.request_event(
-                t,
-                vm_id,
-                vsq,
-                tag,
-                gen,
-                Stage::Dispatched,
-                PathKind::Fast,
-            );
-            if self.vms[vm].hsq.push(fwd).is_err() {
-                self.path_unavailable(vm, tag, path_bits::HQ, t);
-                return;
+        for (path, metric) in [
+            (path_bits::HQ, Metric::SentFast),
+            (path_bits::KQ, Metric::SentKernel),
+            (path_bits::NQ, Metric::SentNotify),
+        ] {
+            if send & path == 0 {
+                continue;
             }
-        }
-        if send & path_bits::KQ != 0 {
-            self.table.get_mut(tag).expect("tracked").pending |= path_bits::KQ;
-            self.stats.sent_kq += 1;
-            self.telemetry.count(Metric::SentKernel);
-            self.telemetry.request_event(
-                t,
-                vm_id,
-                vsq,
-                tag,
-                gen,
-                Stage::Dispatched,
-                PathKind::Kernel,
-            );
-            match self.vms[vm].kernel.as_mut() {
-                Some(k) => k.submit(tag, fwd, t),
-                None => {
-                    self.path_unavailable(vm, tag, path_bits::KQ, t);
-                    return;
-                }
+            if let Some(state) = self.table.get_mut(tag) {
+                state.pending |= path;
             }
-        }
-        if send & path_bits::NQ != 0 {
-            self.table.get_mut(tag).expect("tracked").pending |= path_bits::NQ;
-            self.stats.sent_nq += 1;
-            self.telemetry.count(Metric::SentNotify);
-            self.telemetry.request_event(
-                t,
-                vm_id,
-                vsq,
-                tag,
-                gen,
-                Stage::Dispatched,
-                PathKind::Notify,
-            );
-            let pushed = match self.vms[vm].notify.as_mut() {
-                Some(n) => n.nsq.push(fwd).is_ok(),
-                None => false,
+            self.tally(metric, 1);
+            self.trace(t, tag, Stage::Dispatched, Self::path_kind(path));
+            let binding = &mut self.vms[vm].binding;
+            let queued = match path {
+                path_bits::HQ => binding.hsq.push(fwd).is_ok(),
+                path_bits::KQ => binding
+                    .kernel
+                    .as_mut()
+                    .map(|k| k.submit(tag, fwd, t))
+                    .is_some(),
+                _ => binding
+                    .notify
+                    .as_mut()
+                    .is_some_and(|n| n.nsq.push(fwd).is_ok()),
             };
-            if !pushed {
-                self.path_unavailable(vm, tag, path_bits::NQ, t);
+            if !queued {
+                // A target queue was missing or full: fail the request.
+                // Outstanding legs on other paths will be dropped as
+                // spurious when they return.
+                if let Some(state) = self.table.get_mut(tag) {
+                    state.pending &= !path;
+                }
+                self.finish(vm, tag, Status::PATH_ERROR, t);
+                return;
             }
         }
         // Arm the per-dispatch deadline: if any leg is still out when it
         // fires, the attempt is aborted NVMe-style.
-        if let Some(cfg) = self.recovery {
-            if cfg.cmd_timeout > 0 {
-                if let Some(state) = self.table.get_mut(tag) {
-                    if state.pending != 0 && !state.zombie {
-                        let deadline = t + cfg.cmd_timeout;
-                        state.deadline = deadline;
-                        self.timers.push(Reverse((
-                            deadline,
-                            tag,
-                            state.seq,
-                            vm as u16,
-                            TIMER_DEADLINE,
-                        )));
-                    }
-                }
-            }
+        let Some(timeout) = self.recovery.map(|c| c.cmd_timeout).filter(|&d| d > 0) else {
+            return;
+        };
+        if let Some(state) = self
+            .table
+            .get_mut(tag)
+            .filter(|s| s.pending != 0 && !s.zombie)
+        {
+            state.deadline = t + timeout;
+            let timer = (state.deadline, tag, state.seq, vm as u16, TIMER_DEADLINE);
+            self.timers.push(Reverse(timer));
         }
-    }
-
-    /// A target queue was missing or full: fail the request. Outstanding
-    /// legs on other paths will be dropped as spurious when they return.
-    fn path_unavailable(&mut self, vm: usize, tag: u16, path: u8, t: Ns) {
-        let state = self.table.get_mut(tag).expect("tracked");
-        state.pending &= !path;
-        self.finish(vm, tag, Status::PATH_ERROR, t);
     }
 
     /// Schedules a re-dispatch when the failure is worth retrying. Returns
     /// whether the retry was taken (the request stays tracked).
     fn try_retry(&mut self, vm: usize, tag: u16, status: Status, t: Ns) -> bool {
-        let cfg = match self.recovery {
-            Some(cfg) => cfg,
-            None => return false,
+        let Some(cfg) = self.recovery else {
+            return false;
         };
-        let Some(state) = self.table.get(tag) else {
+        let Some(state) = self.table.get_mut(tag) else {
             return false;
         };
         if state.zombie
@@ -1297,7 +1182,6 @@ impl Router {
         {
             return false;
         }
-        let state = self.table.get_mut(tag).expect("present");
         state.retries += 1;
         if state.first_fault_at == 0 {
             state.first_fault_at = t;
@@ -1305,20 +1189,10 @@ impl Router {
         // Fresh attempt: forget the latched error and the old deadline.
         state.status = Status::SUCCESS;
         state.deadline = 0;
-        let (vm_id, vsq, seq, attempt) = (state.vm, state.vsq, state.seq, state.retries);
-        let at = t + cfg.backoff(attempt);
-        self.retryq.push(Reverse((at, tag, seq, vm as u16)));
-        self.stats.retries += 1;
-        self.telemetry.count(Metric::Retries);
-        self.telemetry.request_event(
-            t,
-            vm_id,
-            vsq,
-            tag,
-            Self::gen_of(seq),
-            Stage::Retry,
-            PathKind::None,
-        );
+        let at = t + cfg.backoff(state.retries);
+        self.retryq.push(Reverse((at, tag, state.seq, vm as u16)));
+        self.tally(Metric::Retries, 1);
+        self.trace(t, tag, Stage::Retry, PathKind::None);
         true
     }
 
@@ -1330,57 +1204,44 @@ impl Router {
         // applicable): if the tag led a coalesced read, its parked
         // followers inherit exactly the status this guest is about to see
         // — including aborts and post-failover statuses.
-        if self.coalesce.is_some() {
-            self.resolve_coalesced(tag, status, t);
-        }
-        if let Some(cfg) = self.recovery {
-            if let Some(state) = self.table.get(tag) {
-                if state.zombie {
-                    // The guest already has this request's CQE; the slot
-                    // only lingers to quarantine the tag.
-                    return;
-                }
-                if state.pending | state.orphaned != 0 {
-                    // Legs are still in flight (abort, or a path failure
-                    // mid-multicast). Answer the guest now but quarantine
-                    // the tag until every leg drains or the reaper fires,
-                    // so a late completion can never be misattributed to a
-                    // reused slot.
-                    let snapshot = state.clone();
-                    let state = self.table.get_mut(tag).expect("present");
-                    state.zombie = true;
-                    state.orphaned |= state.pending;
-                    state.pending = 0;
-                    state.hooks = 0;
-                    state.deadline = 0;
-                    self.emit_finish_telemetry(&snapshot, tag, t);
-                    self.timers.push(Reverse((
-                        t + cfg.zombie_linger,
-                        tag,
-                        snapshot.seq,
-                        vm as u16,
-                        TIMER_REAP,
-                    )));
-                    let cqe = CompletionEntry::new(snapshot.guest_cid, status);
-                    self.post_vcq(vm, snapshot.vsq, cqe, t);
-                    return;
-                }
-            }
-        }
-        let state = match self.table.remove(tag) {
-            Some(s) => s,
-            None => {
-                self.stats.spurious += 1;
-                self.telemetry.count(Metric::Spurious);
-                return;
-            }
+        self.resolve_coalesced(tag, status, t);
+        let Some(state) = self.table.get(tag) else {
+            self.tally(Metric::Spurious, 1);
+            return;
         };
-        self.emit_finish_telemetry(&state, tag, t);
-        let cqe = CompletionEntry::new(state.guest_cid, status);
-        self.post_vcq(vm, state.vsq, cqe, t);
+        let (cid, vsq, seq) = (state.guest_cid, state.vsq, state.seq);
+        // With recovery on, a request whose legs are still in flight
+        // (abort, or a path failure mid-multicast) answers the guest now
+        // but quarantines the tag until every leg drains or the reaper
+        // fires, so a late completion can never be misattributed to a
+        // reused slot. A zombie's guest already has its CQE.
+        let linger = match self.recovery {
+            Some(_) if state.zombie => return,
+            Some(cfg) if state.pending | state.orphaned != 0 => Some(cfg.zombie_linger),
+            _ => None,
+        };
+        self.emit_finish_telemetry(tag, t);
+        match linger {
+            Some(linger) => {
+                if let Some(state) = self.table.get_mut(tag) {
+                    state.abandon_legs();
+                    state.zombie = true;
+                }
+                let reap = (t + linger, tag, seq, vm as u16, TIMER_REAP);
+                self.timers.push(Reverse(reap));
+            }
+            None => {
+                self.table.remove(tag);
+            }
+        }
+        self.post_vcq(vm, vsq, CompletionEntry::new(cid, status));
     }
 
-    fn emit_finish_telemetry(&mut self, state: &RequestState, tag: u16, t: Ns) {
+    fn emit_finish_telemetry(&mut self, tag: u16, t: Ns) {
+        self.trace(t, tag, Stage::VcqComplete, PathKind::None);
+        let Some(state) = self.table.get(tag) else {
+            return;
+        };
         // Stage-coverage audit: every request that was observed at
         // VsqFetch must reach its terminal VcqComplete exactly once (a
         // retry re-uses the same seq — it is the same request).
@@ -1394,15 +1255,6 @@ impl Router {
             tag
         );
         if self.telemetry.enabled() {
-            self.telemetry.request_event(
-                t,
-                state.vm,
-                state.vsq,
-                tag,
-                Self::gen_of(state.seq),
-                Stage::VcqComplete,
-                PathKind::None,
-            );
             // Attribute latency to the heaviest path the request touched
             // (notify > kernel > fast); requests the router completed
             // without dispatching have no route.
@@ -1449,68 +1301,76 @@ impl Router {
     /// poll completes is posted in one ring write per (vm, vsq) with a
     /// single doorbell notify per group — the paper's interrupt-coalescing
     /// discipline — instead of one notify per CQE.
-    fn post_vcq(&mut self, vm: usize, vsq: u16, cqe: CompletionEntry, _t: Ns) {
-        self.stats.completed += 1;
-        self.telemetry.count(Metric::Completed);
+    fn post_vcq(&mut self, vm: usize, vsq: u16, cqe: CompletionEntry) {
+        self.tally(Metric::Completed, 1);
         if cqe.status().is_error() {
-            self.stats.errors += 1;
-            self.telemetry.count(Metric::Errors);
+            self.tally(Metric::Errors, 1);
         }
         self.cq_batch.push((vm, vsq, cqe));
     }
 
-    /// Flushes the poll's batched CQEs into the guest VCQs: entries stay in
-    /// completion order, a full or already-backlogged (vm, vsq) parks the
-    /// rest of its entries in the retry buffer (never overtaking), and each
-    /// group that received entries gets exactly one notify.
+    /// Flushes the poll's batched CQEs into the guest VCQs (see
+    /// [`Router::deliver_vcq`]).
     fn flush_cq_batch(&mut self) -> bool {
         if self.cq_batch.is_empty() {
             return false;
         }
-        let entries: Vec<(usize, u16, CompletionEntry)> = self.cq_batch.drain(..).collect();
-        self.stats.cq_batches += 1;
-        self.telemetry.count(Metric::CqBatches);
-        self.telemetry.depth(Depth::CqBatch, entries.len() as u64);
-        let mut notified: Vec<(usize, u16)> = Vec::new();
-        let mut blocked: Vec<(usize, u16)> = Vec::new();
-        for (vm, vsq, cqe) in entries {
-            // Never overtake completions already parked for this (vm, vsq):
-            // pushing directly while earlier CQEs wait would reorder them.
-            if blocked.contains(&(vm, vsq))
-                || self.vcq_retry.iter().any(|&(v, q, _)| v == vm && q == vsq)
-            {
-                self.buffer_vcq_retry(vm, vsq, cqe);
-                continue;
-            }
-            match self.vms[vm].vcqs[vsq as usize].push(cqe) {
-                Ok(()) => {
-                    if !notified.contains(&(vm, vsq)) {
-                        notified.push((vm, vsq));
-                    }
-                }
-                Err(cqe) => {
-                    // VCQ full: retry on a later poll (the guest is
-                    // reaping).
-                    blocked.push((vm, vsq));
-                    self.buffer_vcq_retry(vm, vsq, cqe);
-                }
-            }
-        }
-        self.stats.cq_notifies += notified.len() as u64;
+        self.tally(Metric::CqBatches, 1);
         self.telemetry
-            .add(Metric::CqNotifies, notified.len() as u64);
+            .depth(Depth::CqBatch, self.cq_batch.len() as u64);
+        let mut entries = std::mem::take(&mut self.cq_batch);
+        self.deliver_vcq(&mut entries, true);
+        self.cq_batch = entries;
         true
     }
 
-    fn buffer_vcq_retry(&mut self, vm: usize, vsq: u16, cqe: CompletionEntry) {
-        if self.vcq_retry.len() >= self.vcq_retry_cap {
-            // A guest that never reaps can otherwise grow this without
-            // bound; drop (counted) rather than leak.
-            self.stats.vcq_retry_drops += 1;
-            self.telemetry.count(Metric::VcqRetryDrops);
-            return;
+    /// Pushes guest CQEs into their VCQs in completion order. A (vm, vsq)
+    /// that refuses an entry (ring full) or already has entries parked in
+    /// the retry buffer parks the rest of its entries behind them, so the
+    /// guest never sees completions reordered by VCQ pressure; other
+    /// queues are unaffected. Each group that received entries counts one
+    /// notify. `capped` parks through the bounded retry buffer; the replay
+    /// of already-parked entries re-parks them without the cap (restored
+    /// CQEs bypass it, so capping them here would drop guest answers).
+    /// Returns whether any entry was delivered.
+    fn deliver_vcq(
+        &mut self,
+        entries: &mut Vec<(usize, u16, CompletionEntry)>,
+        capped: bool,
+    ) -> bool {
+        let mut blocked: Vec<(usize, u16)> = Vec::new();
+        for &(vm, vsq, _) in &self.vcq_retry {
+            if !blocked.contains(&(vm, vsq)) {
+                blocked.push((vm, vsq));
+            }
         }
-        self.vcq_retry.push((vm, vsq, cqe));
+        let mut notified: Vec<(usize, u16)> = Vec::new();
+        for (vm, vsq, cqe) in entries.drain(..) {
+            let refused = if blocked.contains(&(vm, vsq)) {
+                Some(cqe)
+            } else {
+                self.vms[vm].binding.vcqs[vsq as usize].push(cqe).err()
+            };
+            match refused {
+                None if !notified.contains(&(vm, vsq)) => notified.push((vm, vsq)),
+                None => {}
+                Some(cqe) => {
+                    if !blocked.contains(&(vm, vsq)) {
+                        blocked.push((vm, vsq));
+                    }
+                    if capped && self.vcq_retry.len() >= self.vcq_retry_cap {
+                        // A guest that never reaps can otherwise grow the
+                        // buffer without bound; drop (counted) rather
+                        // than leak.
+                        self.tally(Metric::VcqRetryDrops, 1);
+                    } else {
+                        self.vcq_retry.push((vm, vsq, cqe));
+                    }
+                }
+            }
+        }
+        self.tally(Metric::CqNotifies, notified.len() as u64);
+        !notified.is_empty()
     }
 
     /// Fires due recovery timers: deadline expiries abort the attempt
@@ -1518,66 +1378,41 @@ impl Router {
     /// zombie slots whose legs never reported back.
     fn fire_timers(&mut self, now: Ns) -> bool {
         let mut progressed = false;
-        while let Some(&Reverse((at, ..))) = self.timers.peek() {
-            if at > now {
-                break;
-            }
-            let Reverse((_, tag, seq, vm, kind)) = self.timers.pop().expect("peeked");
+        while let Some((_, tag, seq, vm, kind)) = pop_due(&mut self.timers, |e| e.0 <= now) {
             let vm = vm as usize;
-            let Some(state) = self.table.get(tag) else {
-                continue;
+            let Some(state) = self.table.get_mut(tag).filter(|s| s.seq == seq) else {
+                continue; // slot was freed or reused; stale timer
             };
-            if state.seq != seq {
-                continue; // slot was reused; stale timer
-            }
-            match kind {
-                TIMER_DEADLINE => {
-                    if state.zombie || state.deadline == 0 || state.deadline > now {
-                        continue; // superseded by a retry or later dispatch
-                    }
-                    if state.pending == 0 {
-                        continue; // everything reported in time
-                    }
-                    self.stats.aborts += 1;
-                    self.telemetry.count(Metric::Aborts);
-                    let state = self.table.get_mut(tag).expect("present");
-                    let hq_was_pending = state.pending & path_bits::HQ != 0;
-                    if state.first_fault_at == 0 {
-                        state.first_fault_at = now;
-                    }
-                    // Abandon the in-flight legs; their completions (if
-                    // they ever arrive) are dropped as late.
-                    state.orphaned |= state.pending;
-                    state.pending = 0;
-                    state.hooks = 0;
-                    state.deadline = 0;
-                    let (vm_id, vsq) = (state.vm, state.vsq);
-                    self.telemetry.request_event(
-                        now,
-                        vm_id,
-                        vsq,
-                        tag,
-                        Self::gen_of(seq),
-                        Stage::Abort,
-                        PathKind::None,
-                    );
-                    if hq_was_pending {
-                        self.breaker_failure(vm, now);
-                    }
-                    // ABORTED is retryable, so finish() re-dispatches the
-                    // command unless retries are exhausted.
-                    self.finish(vm, tag, Status::ABORTED, now);
+            if kind == TIMER_REAP {
+                // Reclaim a zombie slot whose abandoned legs never
+                // completed (e.g. dropped completions).
+                if state.zombie {
+                    self.table.remove(tag);
                     progressed = true;
                 }
-                _ => {
-                    // TIMER_REAP: reclaim a zombie slot whose abandoned
-                    // legs never completed (e.g. dropped completions).
-                    if state.zombie {
-                        self.table.remove(tag);
-                        progressed = true;
-                    }
-                }
+                continue;
             }
+            // TIMER_DEADLINE: skip if superseded by a retry or later
+            // dispatch, or if everything reported in time.
+            if state.zombie || state.deadline == 0 || state.deadline > now || state.pending == 0 {
+                continue;
+            }
+            let hq_was_pending = state.pending & path_bits::HQ != 0;
+            if state.first_fault_at == 0 {
+                state.first_fault_at = now;
+            }
+            // Abandon the in-flight legs; their completions (if they ever
+            // arrive) are dropped as late.
+            state.abandon_legs();
+            self.tally(Metric::Aborts, 1);
+            self.trace(now, tag, Stage::Abort, PathKind::None);
+            if hq_was_pending {
+                self.breaker_failure(vm, now);
+            }
+            // ABORTED is retryable, so finish() re-dispatches the command
+            // unless retries are exhausted.
+            self.finish(vm, tag, Status::ABORTED, now);
+            progressed = true;
         }
         progressed
     }
@@ -1585,12 +1420,7 @@ impl Router {
     /// Re-dispatches requests whose retry backoff has elapsed.
     fn fire_retries(&mut self, now: Ns) -> bool {
         let mut progressed = false;
-        while let Some(&Reverse((at, ..))) = self.retryq.peek() {
-            if at > now {
-                break;
-            }
-            let Reverse((_, tag, seq, vm)) = self.retryq.pop().expect("peeked");
-            let vm = vm as usize;
+        while let Some((_, tag, seq, vm)) = pop_due(&mut self.retryq, |e| e.0 <= now) {
             let Some(state) = self.table.get(tag) else {
                 continue;
             };
@@ -1598,7 +1428,7 @@ impl Router {
                 continue;
             }
             let (send, hooks, wc) = (state.dispatch_send, state.dispatch_hooks, state.dispatch_wc);
-            self.dispatch(vm, tag, send, hooks, wc, now);
+            self.dispatch(vm as usize, tag, send, hooks, wc, now);
             progressed = true;
         }
         progressed
@@ -1696,7 +1526,7 @@ impl Router {
     /// Gates one VM slot's admission (hot detach quiesces a single tenant
     /// without touching anyone else's queues).
     pub(crate) fn set_vm_admitting(&mut self, slot: usize, on: bool) {
-        self.vm_admitting[slot] = on;
+        self.vms[slot].admitting = on;
     }
 
     /// In-flight requests that still owe their guest an answer
@@ -1717,7 +1547,7 @@ impl Router {
     /// and no live table entry admitted through it (detach safety; other
     /// tenants' backlogs don't matter here).
     pub(crate) fn vm_quiesced(&self, slot: usize) -> bool {
-        self.vm_work[slot] == 0
+        self.vms[slot].work == 0
             && !self
                 .table
                 .iter()
@@ -1780,14 +1610,12 @@ impl Router {
             entries,
             retries,
             cqes,
-            breakers: self.breakers.iter().map(|b| b.save()).collect(),
+            breakers: self.vms.iter().map(|s| s.breaker.save()).collect(),
         };
-        let active = self.vm_active;
         let vms = self
             .vms
             .into_iter()
-            .zip(active)
-            .map(|(v, live)| live.then_some(v))
+            .map(|s| s.active.then_some(s.binding))
             .collect();
         (export, vms)
     }
@@ -1816,11 +1644,8 @@ impl Router {
             return false;
         }
         let mut state = saved.clone();
-        state.orphaned |= state.pending;
-        state.pending = 0;
-        state.hooks = 0;
+        state.abandon_legs();
         state.will_complete = 0;
-        state.deadline = 0;
         state.zombie = true;
         let seq = state.seq;
         if !self.table.insert_at(tag, state) {
@@ -1851,75 +1676,35 @@ impl Router {
         } else {
             (path_bits::HQ, 0, path_bits::HQ)
         };
-        self.next_seq += 1;
-        let seq = self.next_seq;
-        let state = RequestState {
-            vm: self.vms[slot].vm_id,
-            slot: slot as u16,
-            vsq: saved.vsq,
+        let (vm_id, vsq) = (self.vms[slot].binding.vm_id, saved.vsq);
+        let mut state = RequestState {
             guest_cid: saved.guest_cid,
-            cmd: saved.cmd,
-            pending: 0,
-            hooks: 0,
-            will_complete: 0,
-            status: Status::SUCCESS,
             user_tag: saved.user_tag,
-            accepted_at: now,
-            sent_paths: 0,
-            dispatched_at: 0,
-            serviced_at: 0,
-            seq,
             retries: saved.retries,
-            deadline: 0,
-            dispatch_send: 0,
-            dispatch_hooks: 0,
-            dispatch_wc: 0,
-            orphaned: 0,
-            zombie: false,
-            first_fault_at: 0,
-            generation: self.generation,
+            ..RequestState::new(vm_id, slot as u16, vsq, saved.cmd, now, self.generation)
         };
-        let vsq = saved.vsq;
-        let tag = match self.table.insert(state) {
-            Some(tag) => tag,
-            None => {
-                // Table exhausted on the restore target (e.g. resharding
-                // down concentrated too many groups): surface a transient
-                // internal error rather than silently dropping the guest's
-                // command.
-                let cqe = CompletionEntry::new(saved.guest_cid, Status::INTERNAL);
-                self.post_vcq(slot, vsq, cqe, now);
-                return;
-            }
+        let deferred_until = retry_at.filter(|&at| at > now);
+        if deferred_until.is_some() {
+            // The backoff's re-dispatch replays these masks.
+            (state.dispatch_send, state.dispatch_hooks, state.dispatch_wc) = (send, hooks, wc);
+        }
+        // A replay opens a *new* span (the old span's trace lives in the
+        // pre-snapshot engine). Replayed marks why and names the
+        // pre-snapshot attempt (old tag + generation) so the trace forest
+        // can stitch both attempts into one tree. A restore target whose
+        // table is exhausted (e.g. resharding down concentrated too many
+        // groups) fails the command instead.
+        let Some(tag) = self.track(state, now) else {
+            return;
         };
-        self.stats.replayed += 1;
-        self.telemetry.count(Metric::ReplayedRequests);
-        let (vm_id, gen) = (self.vms[slot].vm_id, Self::gen_of(seq));
-        // A replay opens a *new* span: VsqFetch starts it (the old span's
-        // trace lives in the pre-snapshot engine), Replayed marks why and
-        // names the pre-snapshot attempt (old tag + generation) so the
-        // trace forest can stitch both attempts into one tree.
+        let seq = self.next_seq;
+        self.tally(Metric::ReplayedRequests, 1);
+        let (gen, old_gen) = (Self::gen_of(seq), Self::gen_of(saved.seq));
         self.telemetry
-            .request_event(now, vm_id, vsq, tag, gen, Stage::VsqFetch, PathKind::None);
-        self.telemetry.link_event(
-            now,
-            vm_id,
-            vsq,
-            tag,
-            gen,
-            Stage::Replayed,
-            old_tag,
-            Self::gen_of(saved.seq),
-        );
-        match retry_at {
-            Some(at) if at > now => {
-                let state = self.table.get_mut(tag).expect("just inserted");
-                state.dispatch_send = send;
-                state.dispatch_hooks = hooks;
-                state.dispatch_wc = wc;
-                self.retryq.push(Reverse((at, tag, seq, slot as u16)));
-            }
-            _ => self.dispatch(slot, tag, send, hooks, wc, now),
+            .link_event(now, vm_id, vsq, tag, gen, Stage::Replayed, old_tag, old_gen);
+        match deferred_until {
+            Some(at) => self.retryq.push(Reverse((at, tag, seq, slot as u16))),
+            None => self.dispatch(slot, tag, send, hooks, wc, now),
         }
     }
 
@@ -1932,8 +1717,8 @@ impl Router {
 
     /// Restores one VM slot's circuit breaker from a snapshot.
     pub(crate) fn restore_breaker(&mut self, slot: usize, snap: &BreakerSnap) {
-        if let Some(b) = self.breakers.get_mut(slot) {
-            b.restore(snap);
+        if let Some(s) = self.vms.get_mut(slot) {
+            s.breaker.restore(snap);
         }
     }
 
@@ -1944,15 +1729,17 @@ impl Router {
     /// Quarantined zombie tags of the departed VM are left to their reap
     /// timers — the reap path never touches the binding.
     pub(crate) fn detach_slot(&mut self, slot: usize) -> VmBinding {
-        self.vm_active[slot] = false;
-        self.vm_admitting[slot] = false;
+        self.vms[slot].active = false;
+        self.vms[slot].admitting = false;
         // Parked completions for the departing binding are undeliverable
         // once its queues leave; drop them, counted.
         let before = self.vcq_retry.len();
         self.vcq_retry.retain(|&(v, _, _)| v != slot);
         let dropped = (before - self.vcq_retry.len()) as u64;
-        self.stats.vcq_retry_drops += dropped;
-        let old = &self.vms[slot];
+        if dropped > 0 {
+            self.tally(Metric::VcqRetryDrops, dropped);
+        }
+        let old = &self.vms[slot].binding;
         let tombstone = VmBinding {
             vm_id: u32::MAX,
             mem: old.mem.clone(),
@@ -1965,7 +1752,7 @@ impl Router {
             notify: None,
             classifier: Classifier::Native(Box::new(TombstoneClassifier)),
         };
-        std::mem::replace(&mut self.vms[slot], tombstone)
+        std::mem::replace(&mut self.vms[slot].binding, tombstone)
     }
 }
 
@@ -1981,45 +1768,22 @@ impl Actor for Router {
         // kick now so this very poll drains it (the wakeup latency rides
         // on the first station push as wake debt).
         let doorbell = self.governor.is_some() && self.doorbell_pending();
-        let mut gov_debt = 0;
         let gov_before: Option<GovernorCounters> = self.governor.as_mut().map(|g| {
             let before = g.counters();
             g.begin_poll(now);
             if doorbell {
                 g.doorbell_wake(now);
             }
-            gov_debt = g.take_wake_debt();
+            self.pending_wake_debt += g.take_wake_debt();
             before
         });
-        self.pending_wake_debt += gov_debt;
+        // Replay VCQ posts that found the queue full, in submission order
+        // per (vm, vsq). A replay round is one coalesced ring write per
+        // queue too, but not a new CQ batch.
         let mut progressed = false;
-        // Retry any VCQ posts that found the queue full — in submission
-        // order per (vm, vsq): once a queue refuses an entry, later
-        // entries for the same queue stay parked behind it, so the guest
-        // never sees completions reordered by VCQ pressure.
         if !self.vcq_retry.is_empty() {
-            let retries: Vec<_> = self.vcq_retry.drain(..).collect();
-            let mut blocked: Vec<(usize, u16)> = Vec::new();
-            let mut notified: Vec<(usize, u16)> = Vec::new();
-            for (vm, vsq, cqe) in retries {
-                if blocked.contains(&(vm, vsq)) {
-                    self.vcq_retry.push((vm, vsq, cqe));
-                    continue;
-                }
-                if let Err(cqe) = self.vms[vm].vcqs[vsq as usize].push(cqe) {
-                    blocked.push((vm, vsq));
-                    self.vcq_retry.push((vm, vsq, cqe));
-                } else {
-                    if !notified.contains(&(vm, vsq)) {
-                        notified.push((vm, vsq));
-                    }
-                    progressed = true;
-                }
-            }
-            // A replay round is one coalesced ring write per queue too.
-            self.stats.cq_notifies += notified.len() as u64;
-            self.telemetry
-                .add(Metric::CqNotifies, notified.len() as u64);
+            let mut parked = std::mem::take(&mut self.vcq_retry);
+            progressed = self.deliver_vcq(&mut parked, false);
         }
         // Timers and retries run unconditionally: even with recovery off, a
         // servicing restore can arm quarantine reap timers and carried-over
@@ -2036,17 +1800,16 @@ impl Actor for Router {
         progressed |= self.flush_cq_batch();
         // Governor epilogue: walk the Spin → Yield → Parked ladder (or
         // rewind to Spin on progress) and surface what changed.
-        if let Some(before) = gov_before {
-            let queue_gap = self.min_arrival_gap();
-            let g = self.governor.as_mut().expect("checked");
+        let queue_gap = gov_before.and_then(|_| self.min_arrival_gap());
+        if let (Some(before), Some(g)) = (gov_before, self.governor.as_mut()) {
             if let Some(gap) = queue_gap {
                 g.note_queue_gap(gap);
             }
             g.end_poll(now, progressed);
             // A non-doorbell wake (recovery timer, internal event) owes
             // its debt to the next poll's first work.
-            self.pending_wake_debt += self.governor.as_mut().expect("checked").take_wake_debt();
-            let after = self.governor.as_ref().expect("checked").counters();
+            self.pending_wake_debt += g.take_wake_debt();
+            let after = g.counters();
             let transitions = after.transitions - before.transitions;
             if transitions > 0 {
                 self.telemetry.add(Metric::PollModeTransitions, transitions);
@@ -2083,8 +1846,8 @@ impl Actor for Router {
 
     fn next_event(&self) -> Option<Ns> {
         let mut next = self.station.next_event();
-        for vm in &self.vms {
-            if let Some(k) = vm.kernel.as_ref().and_then(|k| k.next_event()) {
+        for slot in &self.vms {
+            if let Some(k) = slot.binding.kernel.as_ref().and_then(|k| k.next_event()) {
                 next = Some(next.map_or(k, |n| n.min(k)));
             }
         }
@@ -2124,7 +1887,7 @@ impl Actor for Router {
         let kernel: Ns = self
             .vms
             .iter()
-            .filter_map(|v| v.kernel.as_ref().map(|k| k.charged()))
+            .filter_map(|s| s.binding.kernel.as_ref().map(|k| k.charged()))
             .sum();
         let governor: Ns = self.governor.as_ref().map_or(0, |g| g.burn());
         self.station.charged() + kernel + governor
@@ -2140,6 +1903,31 @@ impl Actor for Router {
             CpuMode::Adaptive {
                 idle_timeout: self.cost.adaptive_idle_timeout,
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_counter_has_one_metric_and_merges() {
+        let mut one = RouterStats::default();
+        for (i, m) in Metric::ALL.into_iter().enumerate() {
+            if let Some(c) = one.counter_mut(m) {
+                *c = i as u64 + 1;
+            }
+        }
+        assert!(
+            !format!("{one:?}").contains(": 0"),
+            "a counter has no metric: {one:?}"
+        );
+        let mut sum = one;
+        sum.merge(&one);
+        for m in Metric::ALL {
+            let doubled = one.counter_mut(m).map(|c| *c * 2);
+            assert_eq!(sum.counter_mut(m).copied(), doubled, "{m:?}");
         }
     }
 }

@@ -77,6 +77,54 @@ pub struct RequestState {
 }
 
 impl RequestState {
+    /// A fresh, undispatched request for guest command `cmd`, accepted at
+    /// `accepted_at` through router slot `slot` under `generation`. Its
+    /// `seq` stays 0 until the router tracks it.
+    pub(crate) fn new(
+        vm: u32,
+        slot: u16,
+        vsq: u16,
+        cmd: SubmissionEntry,
+        accepted_at: u64,
+        generation: u32,
+    ) -> Self {
+        RequestState {
+            vm,
+            slot,
+            vsq,
+            guest_cid: cmd.cid,
+            cmd,
+            pending: 0,
+            hooks: 0,
+            will_complete: 0,
+            status: Status::SUCCESS,
+            user_tag: 0,
+            accepted_at,
+            sent_paths: 0,
+            dispatched_at: 0,
+            serviced_at: 0,
+            seq: 0,
+            retries: 0,
+            deadline: 0,
+            dispatch_send: 0,
+            dispatch_hooks: 0,
+            dispatch_wc: 0,
+            orphaned: 0,
+            zombie: false,
+            first_fault_at: 0,
+            generation,
+        }
+    }
+
+    /// Stops waiting on the outstanding legs: they become orphans whose
+    /// completions are dropped as late, and no hook or deadline remains.
+    pub(crate) fn abandon_legs(&mut self) {
+        self.orphaned |= self.pending;
+        self.pending = 0;
+        self.hooks = 0;
+        self.deadline = 0;
+    }
+
     /// The route this request is attributed to for latency accounting:
     /// the heaviest path it touched (notify > kernel > fast), or `None`
     /// if it never left the router.
@@ -251,30 +299,8 @@ mod tests {
 
     fn state() -> RequestState {
         RequestState {
-            vm: 0,
-            slot: 0,
-            vsq: 0,
             guest_cid: 7,
-            cmd: SubmissionEntry::flush(1),
-            pending: 0,
-            hooks: 0,
-            will_complete: 0,
-            status: Status::SUCCESS,
-            user_tag: 0,
-            accepted_at: 0,
-            sent_paths: 0,
-            dispatched_at: 0,
-            serviced_at: 0,
-            seq: 0,
-            retries: 0,
-            deadline: 0,
-            dispatch_send: 0,
-            dispatch_hooks: 0,
-            dispatch_wc: 0,
-            orphaned: 0,
-            zombie: false,
-            first_fault_at: 0,
-            generation: 0,
+            ..RequestState::new(0, 0, 0, SubmissionEntry::flush(1), 0, 0)
         }
     }
 

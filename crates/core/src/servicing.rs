@@ -22,6 +22,7 @@ use crate::router::RouterStats;
 use crate::routing::RequestState;
 use nvmetro_nvme::{Status, SubmissionEntry};
 use nvmetro_sim::Topology;
+use nvmetro_telemetry::wire::{self, fnv1a};
 
 /// Magic prefix of every serialized [`ServiceState`].
 pub const SERVICE_MAGIC: [u8; 4] = *b"NVMS";
@@ -68,84 +69,10 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Little-endian wire primitives (in-repo; no external deps).
-mod wire {
-    use super::ServiceError;
-
-    pub struct Writer {
-        buf: Vec<u8>,
+impl From<wire::Truncated> for ServiceError {
+    fn from(_: wire::Truncated) -> Self {
+        ServiceError::Truncated
     }
-
-    impl Writer {
-        pub fn new() -> Self {
-            Writer { buf: Vec::new() }
-        }
-        pub fn u8(&mut self, v: u8) {
-            self.buf.push(v);
-        }
-        pub fn u16(&mut self, v: u16) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        pub fn u32(&mut self, v: u32) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        pub fn u64(&mut self, v: u64) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        pub fn bytes(&mut self, v: &[u8]) {
-            self.buf.extend_from_slice(v);
-        }
-        pub fn as_slice(&self) -> &[u8] {
-            &self.buf
-        }
-        pub fn into_bytes(self) -> Vec<u8> {
-            self.buf
-        }
-    }
-
-    pub struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        pub fn new(buf: &'a [u8]) -> Self {
-            Reader { buf, pos: 0 }
-        }
-        fn take(&mut self, n: usize) -> Result<&'a [u8], ServiceError> {
-            if self.pos + n > self.buf.len() {
-                return Err(ServiceError::Truncated);
-            }
-            let s = &self.buf[self.pos..self.pos + n];
-            self.pos += n;
-            Ok(s)
-        }
-        pub fn u8(&mut self) -> Result<u8, ServiceError> {
-            Ok(self.take(1)?[0])
-        }
-        pub fn u16(&mut self) -> Result<u16, ServiceError> {
-            Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-        }
-        pub fn u32(&mut self) -> Result<u32, ServiceError> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-        }
-        pub fn u64(&mut self) -> Result<u64, ServiceError> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-        pub fn remaining(&self) -> usize {
-            self.buf.len() - self.pos
-        }
-    }
-}
-
-/// FNV-1a 64 over the payload; the integrity trailer of the byte format.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One queue group's identity, in bind order (the restore side rebinds
@@ -697,30 +624,18 @@ mod tests {
         };
         let cmd = SubmissionEntry::read(1, 0x40, 8, 0, 0);
         let req = RequestState {
-            vm: 3,
-            slot: 1,
-            vsq: 2,
             guest_cid: 77,
-            cmd,
             pending: 0b001,
-            hooks: 0,
             will_complete: 0b001,
-            status: Status::SUCCESS,
             user_tag: 42,
-            accepted_at: 100,
             sent_paths: 0b001,
             dispatched_at: 110,
-            serviced_at: 0,
             seq: 991,
             retries: 1,
             deadline: 5000,
             dispatch_send: 0b001,
-            dispatch_hooks: 0,
             dispatch_wc: 0b001,
-            orphaned: 0,
-            zombie: false,
-            first_fault_at: 0,
-            generation: 4,
+            ..RequestState::new(3, 1, 2, cmd, 100, 4)
         };
         ServiceState {
             generation: 4,

@@ -37,6 +37,7 @@ mod metrics;
 pub mod percentile;
 mod ring;
 mod snapshot;
+pub mod wire;
 
 pub use event::{Depth, Ns, PathKind, Route, Segment, Stage, Tier, TraceEvent, VM_ANY};
 pub use metrics::Metric;

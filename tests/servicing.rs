@@ -864,3 +864,66 @@ fn engine_stats_are_one_pass_and_carry_across_restore() {
     );
     assert_eq!(after.occupancy, 0, "drained snapshot restores empty");
 }
+
+/// Regression: a hot detach drops the departing VM's parked guest CQEs
+/// (its queues leave with it). The drop must show up in the router's
+/// `vcq_retry_drops` and in the telemetry counter alike; the counter
+/// used to stay at 0.
+#[test]
+fn detach_counts_dropped_parked_cqes_in_stats_and_telemetry() {
+    let telemetry = Telemetry::enabled();
+    let cost = deterministic_cost();
+    let mut ssd = SimSsd::new(
+        "ssd",
+        SsdConfig {
+            capacity_lbas: 1 << 20,
+            cost: cost.clone(),
+            move_data: false,
+            seed: 5,
+            ..Default::default()
+        },
+    );
+    let mem = Arc::new(GuestMemory::new(1 << 20));
+    let (mut binding, sq, _) = queue_group(&mut ssd, &mem, true);
+    // A 4-entry VCQ the guest never reaps: 12 of 16 answers must park.
+    let (vcq_p, _guest_cq) = CqPair::new(4);
+    binding.vcqs = vec![vcq_p];
+    let mut engine = RouterBuilder::new("router")
+        .cost(cost)
+        .shards(1)
+        .table_capacity(64)
+        .telemetry(&telemetry)
+        .vm(EngineVm {
+            vm_id: 0,
+            mem,
+            partition: Partition::whole(1 << 20),
+            queues: vec![binding],
+        })
+        .build();
+    for cid in 0..16u16 {
+        let mut cmd = SubmissionEntry::read(1, cid as u64 * 8, 8, 0x1000, 0);
+        cmd.cid = cid;
+        sq.push(cmd).unwrap();
+    }
+    let mut now: Ns = 0;
+    while now < 10 * MS && engine.stats().total.completed < 16 {
+        engine.poll_all(now);
+        ssd.poll(now);
+        now += 2 * US;
+    }
+    assert_eq!(engine.stats().total.completed, 16);
+    engine.pause_vm(0).unwrap();
+    while now < 20 * MS && !engine.vm_quiesced(0) {
+        engine.poll_all(now);
+        ssd.poll(now);
+        now += 2 * US;
+    }
+    engine.detach_vm(0).unwrap();
+    let drops = engine.stats().total.vcq_retry_drops;
+    assert_eq!(drops, 12, "every parked CQE is dropped on detach");
+    assert_eq!(
+        telemetry.counter(Metric::VcqRetryDrops),
+        drops,
+        "telemetry must agree with the router counters"
+    );
+}
